@@ -3,28 +3,9 @@
 namespace qvg {
 
 const char* error_code_name(ErrorCode code) noexcept {
-  switch (code) {
-    case ErrorCode::kOk: return "ok";
-    case ErrorCode::kInvalidRequest: return "invalid_request";
-    case ErrorCode::kAnchorNotFound: return "anchor_not_found";
-    case ErrorCode::kInsufficientPoints: return "insufficient_points";
-    case ErrorCode::kFitFailed: return "fit_failed";
-    case ErrorCode::kDegenerateVirtualization:
-      return "degenerate_virtualization";
-    case ErrorCode::kLineNotFound: return "line_not_found";
-    case ErrorCode::kPairFailed: return "pair_failed";
-    case ErrorCode::kIoError: return "io_error";
-    case ErrorCode::kParseError: return "parse_error";
-    case ErrorCode::kCancelled: return "cancelled";
-    case ErrorCode::kDeadlineExceeded: return "deadline_exceeded";
-    case ErrorCode::kBudgetExhausted: return "budget_exhausted";
-    case ErrorCode::kProbeTransient: return "probe_transient";
-    case ErrorCode::kProbeHardFault: return "probe_hard_fault";
-    case ErrorCode::kDeviceDrifted: return "device_drifted";
-    case ErrorCode::kOverloaded: return "overloaded";
-    case ErrorCode::kInternal: return "internal";
-  }
-  return "unknown";
+  const auto index = static_cast<std::size_t>(code);
+  return index < kErrorCodeNames.size() ? kErrorCodeNames[index].data()
+                                        : "unknown";
 }
 
 Status Status::failure(ErrorCode code, std::string stage, std::string detail) {

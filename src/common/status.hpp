@@ -12,8 +12,11 @@
 
 #include "common/error.hpp"
 
+#include <array>
+#include <cstddef>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 namespace qvg {
@@ -78,8 +81,32 @@ enum class ErrorCode {
   kInternal,
 };
 
-/// Stable snake_case name of a code ("ok", "anchor_not_found", ...), for
-/// logs and serialized reports.
+/// Stable snake_case code names, indexed by code value ("ok",
+/// "invalid_request", ...), for logs and serialized reports.
+inline constexpr std::array<std::string_view, 18> kErrorCodeNames = {
+    "ok",
+    "invalid_request",
+    "anchor_not_found",
+    "insufficient_points",
+    "fit_failed",
+    "degenerate_virtualization",
+    "line_not_found",
+    "pair_failed",
+    "io_error",
+    "parse_error",
+    "cancelled",
+    "deadline_exceeded",
+    "budget_exhausted",
+    "probe_transient",
+    "probe_hard_fault",
+    "device_drifted",
+    "overloaded",
+    "internal",
+};
+static_assert(kErrorCodeNames.size() ==
+              static_cast<std::size_t>(ErrorCode::kInternal) + 1);
+
+/// kErrorCodeNames[code], or "unknown" for a value outside the enum.
 [[nodiscard]] const char* error_code_name(ErrorCode code) noexcept;
 
 /// The outcome of an operation: ok, or a typed failure carrying the pipeline

@@ -17,17 +17,19 @@
 //   * Version tolerance without a schema compiler. Every field is
 //     self-delimiting, so a reader skips tags it does not know; new fields
 //     can be appended by a newer writer and old messages simply leave new
-//     fields at their defaults. The envelope version is for *incompatible*
-//     changes only (a reader rejects a version it does not speak with a
-//     typed error, never by guessing).
+//     fields at their defaults. Tags and message kinds are never reused.
+//     The envelope version is for *incompatible* changes only (a reader
+//     rejects a version it does not speak with a typed error).
 //   * Malformed input is a typed kParseError, never UB. Every read is
 //     bounds-checked against the buffer; a truncated or corrupt stream
 //     fails cleanly at the first short read (the wire fuzz test drives
 //     every truncation length through the decoders under ASan/UBSan).
 //
-// WireWriter appends fields to a byte buffer; WireReader walks one. The
-// message-level encode/decode functions live in wire/messages.hpp; the JSON
-// lane (same messages, human-readable) in wire/json.hpp.
+// WireWriter appends fields to a byte buffer; WireReader walks one. Which
+// tag carries which member is not written here or per message: each
+// message's field list (wire/fields.hpp) drives both this lane and the JSON
+// lane, so a new field is one line in that list. JSON key order is not part
+// of the contract.
 #pragma once
 
 #include "common/status.hpp"
@@ -59,8 +61,8 @@ enum class MessageKind : std::uint8_t {
   kRequest = 1,
   kReport = 2,
   kProgress = 3,
-  kStatus = 4,
-  kFaultStats = 5,
+  // 4 and 5 were standalone Status and FaultStats messages; both now travel
+  // only inside a report. Reserved, never reused.
 };
 
 /// Append-only field writer over an owned byte buffer.
@@ -77,7 +79,6 @@ class WireWriter {
   void boolean(std::uint8_t tag, bool value) { u64(tag, value ? 1 : 0); }
   /// Doubles travel as IEEE-754 bit patterns: exact, NaN-preserving.
   void f64(std::uint8_t tag, double value);
-  void bytes(std::uint8_t tag, std::span<const std::uint8_t> value);
   void str(std::uint8_t tag, std::string_view value);
   /// A contiguous array of doubles as one kBytes field (8 bytes LE each) —
   /// the CSD pixel lane.
@@ -106,10 +107,6 @@ struct WireField {
   std::span<const std::uint8_t> payload;
 
   [[nodiscard]] std::uint64_t as_u64() const;
-  [[nodiscard]] std::int64_t as_i64() const {
-    return static_cast<std::int64_t>(as_u64());
-  }
-  [[nodiscard]] bool as_bool() const { return as_u64() != 0; }
   [[nodiscard]] double as_f64() const;
   [[nodiscard]] std::string as_string() const;
   /// Payload reinterpreted as packed LE doubles; fails (kParseError) when

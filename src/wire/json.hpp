@@ -14,6 +14,10 @@
 //     double round trip.
 //   * Unknown object keys are ignored on decode (the same version tolerance
 //     as unknown binary tags); malformed text is a typed kParseError.
+//   * Keys come from the same per-message field lists as the binary tags
+//     (wire/fields.hpp): a new field is one line there, and its tag is never
+//     reused. Key order is not part of the contract — objects are
+//     unordered, and readers look keys up by name.
 //
 // JSON is what the HTTP server speaks where humans look: SSE progress
 // events, /stats, error bodies. Requests and reports default to the binary
@@ -114,8 +118,5 @@ class JsonValue {
 /// Out-param flavour (Result<Status> would be ambiguous): the return value
 /// is the *parse* outcome, `out` the decoded status.
 [[nodiscard]] Status status_from_json(std::string_view text, Status& out);
-
-[[nodiscard]] std::string to_json(const FaultStats& stats);
-[[nodiscard]] Result<FaultStats> fault_stats_from_json(std::string_view text);
 
 }  // namespace qvg::wire

@@ -1,6 +1,11 @@
-// The wire API's message set: self-contained request/report/progress/status
+// The wire API's message set: self-contained request/report/progress
 // messages with exact binary round trips (wire/codec.hpp) and a JSON lane
 // (wire/json.hpp).
+//
+// Both lanes are driven by one field list per message (wire/fields.hpp):
+// each entry names a field's tag, JSON key and member once. A new field is
+// one line in its message's list. Tags are never reused: a retired tag stays
+// retired. JSON key order is not part of the contract.
 //
 // ExtractionRequest cannot travel as-is: its backends borrow process-local
 // pointers (const BuiltDevice*, const Csd*). WireRequest is the
@@ -156,16 +161,6 @@ struct WireReport {
 
 [[nodiscard]] std::vector<std::uint8_t> encode(const ProgressEvent& event);
 [[nodiscard]] Result<ProgressEvent> decode_progress(
-    std::span<const std::uint8_t> buffer);
-
-[[nodiscard]] std::vector<std::uint8_t> encode_status(const Status& status);
-/// Out-param flavour (Result<Status> would be ambiguous): the return value
-/// is the *decode* outcome, `out` the decoded status.
-[[nodiscard]] Status decode_status(std::span<const std::uint8_t> buffer,
-                                   Status& out);
-
-[[nodiscard]] std::vector<std::uint8_t> encode(const FaultStats& stats);
-[[nodiscard]] Result<FaultStats> decode_fault_stats(
     std::span<const std::uint8_t> buffer);
 
 }  // namespace qvg::wire
