@@ -60,8 +60,8 @@
 //                       sobel (reference vs SIMD, bit-identical except the
 //                       documented sobel-magnitude ULP bound, which is
 //                       recorded), canny at 100 and 200 px (atan2+hypot
-//                       reference pipeline vs ladder+SIMD), hough flat vs
-//                       blocked accumulation, and 5-7 dot solver bound
+//                       reference pipeline vs ladder+SIMD), hough
+//                       accumulation timing, and 5-7 dot solver bound
 //                       batches. Each scenario carries *_identical (or
 //                       max-ULP) fields so the snapshot itself proves the
 //                       fast paths are pinned.                        (PR 7)
@@ -1214,23 +1214,14 @@ void bench_kernel_sweep(JsonWriter& json) {
 
   {
     const GridU8 edges = canny(image);
-    HoughOptions flat;
-    flat.accumulate_mode = HoughAccumulateMode::kFlat;
-    HoughOptions blocked;
-    blocked.accumulate_mode = HoughAccumulateMode::kBlocked;
-    HoughAccumulator ref, fast;
-    const double ref_s =
-        time_best(5, [&] { ref = hough_accumulate(edges, flat); });
-    const double fast_s =
-        time_best(5, [&] { fast = hough_accumulate(edges, blocked); });
+    HoughAccumulator acc;
+    const double hough_s =
+        time_best(5, [&] { acc = hough_accumulate(edges); });
     long edge_points = 0;
     for (auto v : edges.raw()) edge_points += v != 0 ? 1 : 0;
     json.begin_scenario("kernel_hough_200px");
     json.field("edge_points", edge_points);
-    json.field("flat_ms", ref_s * 1e3);
-    json.field("blocked_ms", fast_s * 1e3);
-    json.field("speedup", ref_s / fast_s);
-    json.field("votes_identical", ref.votes == fast.votes);
+    json.field("hough_ms", hough_s * 1e3);
     json.end_scenario();
   }
 

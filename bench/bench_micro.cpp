@@ -2,7 +2,7 @@
 // (DESIGN.md experiment E7): image pipeline stages, the charge-state solver,
 // the feature gradient, and the piecewise fit.
 //
-// The BM_*Reference / BM_*Simd (and flat/blocked, reference/fast) pairs are
+// The BM_*Reference / BM_*Simd (and reference/fast) pairs are
 // the PR 7 scalar-vs-vector ablation for each touched kernel; both variants
 // live in one binary because the references are runtime-callable, so a
 // single run shows the per-kernel gap on the host CPU.
@@ -101,24 +101,6 @@ void BM_CannyReference(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(canny_reference(image));
 }
 BENCHMARK(BM_CannyReference)->Arg(100)->Arg(200);
-
-void BM_HoughFlat(benchmark::State& state) {
-  const auto image = make_test_image(static_cast<std::size_t>(state.range(0)));
-  const auto edges = canny(image);
-  HoughOptions opt;
-  opt.accumulate_mode = HoughAccumulateMode::kFlat;
-  for (auto _ : state) benchmark::DoNotOptimize(hough_accumulate(edges, opt));
-}
-BENCHMARK(BM_HoughFlat)->Arg(100)->Arg(200);
-
-void BM_HoughBlocked(benchmark::State& state) {
-  const auto image = make_test_image(static_cast<std::size_t>(state.range(0)));
-  const auto edges = canny(image);
-  HoughOptions opt;
-  opt.accumulate_mode = HoughAccumulateMode::kBlocked;
-  for (auto _ : state) benchmark::DoNotOptimize(hough_accumulate(edges, opt));
-}
-BENCHMARK(BM_HoughBlocked)->Arg(100)->Arg(200);
 
 void BM_SolverBranchAndBound(benchmark::State& state) {
   // SIMD completion-bound batches drive the pruning; compare against

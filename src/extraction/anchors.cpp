@@ -3,8 +3,6 @@
 #include "common/assert.hpp"
 #include "extraction/feature_gradient.hpp"
 #include "imgproc/kernel.hpp"
-#include "probe/driver/instrument_driver.hpp"
-#include "probe/retry_policy.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -28,62 +26,52 @@ Point2 clamped_voltage(const VoltageAxis& x_axis, const VoltageAxis& y_axis,
           y_axis.voltage(static_cast<double>(cy))};
 }
 
-/// Batched mask sweep, split for pipelined submission: build() queues every
-/// non-zero mask tap of every centre in the same (centre-major, row-major
-/// tap) order the scalar sweep probed them, submit() posts the batch to the
-/// driver, and reduce() (valid once the completion is ok) accumulates one
-/// weighted response per centre — so a fault-free acquisition is
-/// bit-identical to the scalar sweep regardless of how submission overlaps.
-struct MaskSweep {
-  std::vector<Point2> probes;
+/// One batched mask sweep: every non-zero mask tap of every centre goes out
+/// as a single serial batch, in the same (centre-major, row-major tap) order
+/// the scalar sweep probed them, and one weighted response per centre is
+/// accumulated — so a fault-free acquisition is bit-identical to the scalar
+/// sweep.
+Status mask_sweep(AsyncCurrentSource& driver, const VoltageAxis& x_axis,
+                  const VoltageAxis& y_axis, const Kernel2D& mask,
+                  const std::vector<Pixel>& centers,
+                  const AcquisitionContext& context, long& probes,
+                  std::vector<double>& responses) {
+  const auto rx = static_cast<std::ptrdiff_t>(mask.width()) / 2;
+  const auto ry = static_cast<std::ptrdiff_t>(mask.height()) / 2;
+  std::vector<Point2> points;
   std::vector<double> weights;
-  std::vector<std::size_t> offsets;  // per-centre start into probes
-  std::vector<double> currents;
-  std::size_t center_count = 0;
-
-  void build(const VoltageAxis& x_axis, const VoltageAxis& y_axis,
-             const Kernel2D& mask, const std::vector<Pixel>& centers) {
-    const auto rx = static_cast<std::ptrdiff_t>(mask.width()) / 2;
-    const auto ry = static_cast<std::ptrdiff_t>(mask.height()) / 2;
-    center_count = centers.size();
-    probes.clear();
-    weights.clear();
-    offsets.clear();
-    probes.reserve(centers.size() * mask.width() * mask.height());
-    weights.reserve(probes.capacity());
-    offsets.reserve(centers.size() + 1);
-    for (const Pixel& center : centers) {
-      offsets.push_back(probes.size());
-      for (std::size_t my = 0; my < mask.height(); ++my) {
-        for (std::size_t mx = 0; mx < mask.width(); ++mx) {
-          const double w = mask(mx, my);
-          if (w == 0.0) continue;
-          probes.push_back(clamped_voltage(
-              x_axis, y_axis, center.x + static_cast<std::ptrdiff_t>(mx) - rx,
-              center.y + static_cast<std::ptrdiff_t>(my) - ry));
-          weights.push_back(w);
-        }
+  std::vector<std::size_t> offsets;  // per-centre start into points
+  points.reserve(centers.size() * mask.width() * mask.height());
+  weights.reserve(points.capacity());
+  offsets.reserve(centers.size() + 1);
+  for (const Pixel& center : centers) {
+    offsets.push_back(points.size());
+    for (std::size_t my = 0; my < mask.height(); ++my) {
+      for (std::size_t mx = 0; mx < mask.width(); ++mx) {
+        const double w = mask(mx, my);
+        if (w == 0.0) continue;
+        points.push_back(clamped_voltage(
+            x_axis, y_axis, center.x + static_cast<std::ptrdiff_t>(mx) - rx,
+            center.y + static_cast<std::ptrdiff_t>(my) - ry));
+        weights.push_back(w);
       }
     }
-    offsets.push_back(probes.size());
-    currents.resize(probes.size());
   }
+  offsets.push_back(points.size());
 
-  [[nodiscard]] CompletionHandle submit(AsyncCurrentSource& driver,
-                                        const AcquisitionContext& context) {
-    return driver.submit(probes, currents, context, "anchors");
+  std::vector<double> currents(points.size());
+  const ProbeOutcome outcome =
+      submit_and_wait(driver, points, currents, context, "anchors", probes);
+  if (!outcome.ok()) return outcome.status;
+  responses.assign(centers.size(), 0.0);
+  for (std::size_t i = 0; i < centers.size(); ++i) {
+    double acc = 0.0;
+    for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k)
+      acc += weights[k] * currents[k];
+    responses[i] = acc;
   }
-
-  void reduce(std::vector<double>& responses) const {
-    responses.assign(center_count, 0.0);
-    for (std::size_t i = 0; i < center_count; ++i) {
-      double acc = 0.0;
-      for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k)
-        acc += weights[k] * currents[k];
-      responses[i] = acc;
-    }
-  }
-};
+  return {};
+}
 
 /// Gaussian prior over [0, n), centred at the sweep *start* with
 /// sigma = fraction * n. The sweep starts inside the empty (0,0) region, so
@@ -133,43 +121,19 @@ Result<AnchorResult> find_anchor_points(AsyncCurrentSource& driver,
     return anchor_failure("scan window too small for anchor preprocessing");
   QVG_EXPECTS(opt.num_diagonal_points >= 2);
 
-  // Lookahead only helps when the driver actually overlaps transfers. At
-  // depth 1 (the SyncSourceAdapter, or a depth-1 ring) every batch is
-  // submitted strictly after the check that gates it, which keeps the
-  // interrupted behaviour — which batches were issued when the job stopped —
-  // call-for-call identical to the pre-driver synchronous loop. At depth
-  // >= 2 independent batches (the two mask sweeps; the two snap scans) are
-  // submitted back to back so the transport pipelines them; the checks keep
-  // their synchronous *values* (they are driven by completion-carried probe
-  // counts), so an uninterrupted run is bit-identical at any depth.
-  const bool pipelined = driver.depth() >= 2;
-
-  // One interruption check per probe batch; a batch in flight always runs to
-  // completion so the probe accounting stays well-defined. `last_probes`
-  // mirrors source.probe_count() at the equivalent synchronous boundary.
+  // One interruption check before each probe batch. Batches are strictly
+  // serial (each goes through submit_and_wait after the check that gates
+  // it), so which batches a stopped job issued is the same at any depth.
+  // `last_probes` mirrors source.probe_count() at the equivalent
+  // synchronous boundary.
   long last_probes = driver.probes_completed();
-  auto interrupted = [&](Status& status) {
-    status = context.check("anchors", last_probes);
-    return !status.ok();
-  };
-  Status interrupt;
-
-  // On an early return with a batch still in flight: abort it and wait the
-  // handle out, so the local buffers it points into stay valid for the
-  // driver's lifetime rules.
-  const auto discard = [&](CompletionHandle& handle) {
-    if (!handle.valid()) return;
-    driver.abort_inflight();
-    (void)handle.wait();
-    handle = CompletionHandle();
-  };
+  const auto check = [&] { return context.check("anchors", last_probes); };
 
   AnchorResult result;
 
   // 1. Diagonal probe: ten equally spaced points (one batched request), find
-  //    the brightest. Everything downstream depends on it, so it is always
-  //    submit + wait.
-  if (interrupted(interrupt)) return interrupt;
+  //    the brightest.
+  if (Status s = check(); !s.ok()) return s;
   const int nd = opt.num_diagonal_points;
   std::vector<Pixel> diagonal;
   diagonal.reserve(static_cast<std::size_t>(nd));
@@ -185,13 +149,11 @@ Result<AnchorResult> find_anchor_points(AsyncCurrentSource& driver,
     diagonal_probes.push_back(clamped_voltage(x_axis, y_axis, px, py));
   }
   std::vector<double> diagonal_currents(diagonal_probes.size());
-  {
-    CompletionHandle handle =
-        driver.submit(diagonal_probes, diagonal_currents, context, "anchors");
-    const BatchCompletion& completion = handle.wait();
-    if (!completion.outcome.ok()) return completion.outcome.status;
-    last_probes = completion.probes_after;
-  }
+  if (const ProbeOutcome outcome =
+          submit_and_wait(driver, diagonal_probes, diagonal_currents, context,
+                          "anchors", last_probes);
+      !outcome.ok())
+    return outcome.status;
   Pixel brightest{0, 0};
   double brightest_current = -1e300;
   for (std::size_t k = 0; k < diagonal.size(); ++k) {
@@ -211,151 +173,86 @@ Result<AnchorResult> find_anchor_points(AsyncCurrentSource& driver,
       distance(brightest, origin) >= distance(fallback, origin) ? brightest
                                                                 : fallback;
 
-  // 3. Mask sweeps with a Gaussian prior. Both sweeps depend only on the
-  //    starting point, so a pipelined driver runs them back to back.
-  const Kernel2D mask_x = paper_mask_x();
-  const Kernel2D mask_y = paper_mask_y();
-
+  // 3. Mask sweeps with a Gaussian prior.
+  // Sweep Mask_x rightward along the starting row: anchor B (steep line).
   const std::ptrdiff_t x_lo = result.start.x;
   const std::ptrdiff_t x_hi = w - 1;
   if (x_hi <= x_lo) return anchor_failure("empty Mask_x sweep range");
-  if (interrupted(interrupt)) return interrupt;
-
-  MaskSweep sweep_x;
+  if (Status s = check(); !s.ok()) return s;
   {
-    const auto n = static_cast<std::size_t>(x_hi - x_lo + 1);
-    std::vector<Pixel> centers(n);
-    for (std::size_t i = 0; i < n; ++i)
-      centers[i] = {static_cast<int>(x_lo + static_cast<std::ptrdiff_t>(i)),
-                    result.start.y};
-    sweep_x.build(x_axis, y_axis, mask_x, centers);
-  }
-  const std::ptrdiff_t y_lo = result.start.y;
-  const std::ptrdiff_t y_hi = h - 1;
-  MaskSweep sweep_y;
-  if (y_hi > y_lo) {
-    const auto n = static_cast<std::size_t>(y_hi - y_lo + 1);
-    std::vector<Pixel> centers(n);
-    for (std::size_t i = 0; i < n; ++i)
-      centers[i] = {result.start.x,
-                    static_cast<int>(y_lo + static_cast<std::ptrdiff_t>(i))};
-    sweep_y.build(x_axis, y_axis, mask_y, centers);
-  }
-
-  CompletionHandle handle_x = sweep_x.submit(driver, context);
-  CompletionHandle handle_y;
-  if (pipelined && y_hi > y_lo) handle_y = sweep_y.submit(driver, context);
-
-  // Sweep Mask_x rightward along the starting row: anchor B (steep line).
-  {
-    const BatchCompletion& completion = handle_x.wait();
-    if (!completion.outcome.ok()) {
-      discard(handle_y);
-      return completion.outcome.status;
-    }
-    last_probes = completion.probes_after;
-    sweep_x.reduce(result.response_x);
-    const auto n = static_cast<std::size_t>(x_hi - x_lo + 1);
-    const auto prior = gaussian_prior(n, opt.gaussian_sigma_fraction);
-    const std::size_t best = weighted_argmax(result.response_x, prior);
-    result.anchor_b = {static_cast<int>(x_lo + static_cast<std::ptrdiff_t>(best)),
-                       result.start.y};
+    std::vector<Pixel> centers;
+    for (std::ptrdiff_t x = x_lo; x <= x_hi; ++x)
+      centers.push_back({static_cast<int>(x), result.start.y});
+    if (Status s = mask_sweep(driver, x_axis, y_axis, paper_mask_x(), centers,
+                              context, last_probes, result.response_x);
+        !s.ok())
+      return s;
+    result.anchor_b = centers[weighted_argmax(
+        result.response_x,
+        gaussian_prior(centers.size(), opt.gaussian_sigma_fraction))];
   }
 
   // Sweep Mask_y upward along the starting column: anchor A (shallow line).
+  const std::ptrdiff_t y_lo = result.start.y;
+  const std::ptrdiff_t y_hi = h - 1;
   if (y_hi <= y_lo) return anchor_failure("empty Mask_y sweep range");
-  if (interrupted(interrupt)) {
-    discard(handle_y);
-    return interrupt;
-  }
+  if (Status s = check(); !s.ok()) return s;
   {
-    if (!handle_y.valid()) handle_y = sweep_y.submit(driver, context);
-    const BatchCompletion& completion = handle_y.wait();
-    if (!completion.outcome.ok()) return completion.outcome.status;
-    last_probes = completion.probes_after;
-    sweep_y.reduce(result.response_y);
-    const auto n = static_cast<std::size_t>(y_hi - y_lo + 1);
-    const auto prior = gaussian_prior(n, opt.gaussian_sigma_fraction);
-    const std::size_t best = weighted_argmax(result.response_y, prior);
-    result.anchor_a = {result.start.x,
-                       static_cast<int>(y_lo + static_cast<std::ptrdiff_t>(best))};
+    std::vector<Pixel> centers;
+    for (std::ptrdiff_t y = y_lo; y <= y_hi; ++y)
+      centers.push_back({result.start.x, static_cast<int>(y)});
+    if (Status s = mask_sweep(driver, x_axis, y_axis, paper_mask_y(), centers,
+                              context, last_probes, result.response_y);
+        !s.ok())
+      return s;
+    result.anchor_a = centers[weighted_argmax(
+        result.response_y,
+        gaussian_prior(centers.size(), opt.gaussian_sigma_fraction))];
   }
 
   // Snap each anchor to the nearby feature-gradient maximum so the fit's
-  // fixed endpoints use the same bright-side pixel convention as the sweeps.
-  // The two scans are independent once both anchors are known, so a
-  // pipelined driver runs them back to back too.
+  // fixed endpoints use the same bright-side pixel convention as the sweeps:
+  // A along its column, then B along its row, one batch each.
   if (opt.snap_radius > 0) {
-    if (interrupted(interrupt)) return interrupt;
-    FeatureGradientBatch batch_a;
-    std::vector<int> candidates_a;
-    for (int dy = -opt.snap_radius; dy <= opt.snap_radius; ++dy) {
-      const int y = result.anchor_a.y + dy;
-      if (y < 0 || y >= static_cast<int>(h)) continue;
-      candidates_a.push_back(dy);
-      batch_a.add(x_axis.voltage(static_cast<double>(result.anchor_a.x)),
+    FeatureGradientBatch batch;
+    std::vector<int> candidates;
+    const auto snap_offset = [&](Pixel anchor, bool along_y) -> Result<int> {
+      batch.clear();
+      candidates.clear();
+      for (int d = -opt.snap_radius; d <= opt.snap_radius; ++d) {
+        const int x = anchor.x + (along_y ? 0 : d);
+        const int y = anchor.y + (along_y ? d : 0);
+        if (x < 0 || x >= static_cast<int>(w) || y < 0 ||
+            y >= static_cast<int>(h))
+          continue;
+        candidates.push_back(d);
+        batch.add(x_axis.voltage(static_cast<double>(x)),
                   y_axis.voltage(static_cast<double>(y)));
-    }
-    FeatureGradientBatch batch_b;
-    std::vector<int> candidates_b;
-    for (int dx = -opt.snap_radius; dx <= opt.snap_radius; ++dx) {
-      const int x = result.anchor_b.x + dx;
-      if (x < 0 || x >= static_cast<int>(w)) continue;
-      candidates_b.push_back(dx);
-      batch_b.add(x_axis.voltage(static_cast<double>(x)),
-                  y_axis.voltage(static_cast<double>(result.anchor_b.y)));
-    }
-
-    CompletionHandle handle_a =
-        batch_a.submit(driver, x_axis.step(), y_axis.step(), context,
-                       "anchors");
-    CompletionHandle handle_b;
-    if (pipelined)
-      handle_b =
-          batch_b.submit(driver, x_axis.step(), y_axis.step(), context,
-                         "anchors");
-
-    {
-      const BatchCompletion& completion = handle_a.wait();
-      if (!completion.outcome.ok()) {
-        discard(handle_b);
-        return completion.outcome.status;
       }
-      last_probes = completion.probes_after;
-      const std::span<const double> gradients = batch_a.reduce();
-      int best_dy = 0;
+      const auto acquired = batch.acquire(driver, x_axis.step(),
+                                          y_axis.step(), context, "anchors",
+                                          last_probes);
+      if (!acquired) return acquired.status();
+      const std::span<const double> gradients = *acquired;
+      int best = 0;
       double best_g = -1e300;
-      for (std::size_t i = 0; i < candidates_a.size(); ++i) {
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
         if (gradients[i] > best_g) {
           best_g = gradients[i];
-          best_dy = candidates_a[i];
+          best = candidates[i];
         }
       }
-      result.anchor_a.y += best_dy;
-    }
-    if (interrupted(interrupt)) {
-      discard(handle_b);
-      return interrupt;
-    }
-    {
-      if (!handle_b.valid())
-        handle_b =
-            batch_b.submit(driver, x_axis.step(), y_axis.step(), context,
-                           "anchors");
-      const BatchCompletion& completion = handle_b.wait();
-      if (!completion.outcome.ok()) return completion.outcome.status;
-      last_probes = completion.probes_after;
-      const std::span<const double> gradients = batch_b.reduce();
-      int best_dx = 0;
-      double best_g = -1e300;
-      for (std::size_t i = 0; i < candidates_b.size(); ++i) {
-        if (gradients[i] > best_g) {
-          best_g = gradients[i];
-          best_dx = candidates_b[i];
-        }
-      }
-      result.anchor_b.x += best_dx;
-    }
+      return best;
+    };
+
+    if (Status s = check(); !s.ok()) return s;
+    const Result<int> dy = snap_offset(result.anchor_a, true);
+    if (!dy) return dy.status();
+    result.anchor_a.y += *dy;
+    if (Status s = check(); !s.ok()) return s;
+    const Result<int> dx = snap_offset(result.anchor_b, false);
+    if (!dx) return dx.status();
+    result.anchor_b.x += *dx;
   }
 
   // The anchors must span a valid triangle: A strictly left of and above B.
@@ -373,12 +270,8 @@ Result<AnchorResult> find_anchor_points(CurrentSource& source,
                                         const VoltageAxis& y_axis,
                                         const AnchorOptions& opt,
                                         const AcquisitionContext& context) {
-  if (context.transport.enabled()) {
-    InstrumentDriver driver(source, context.transport, context.faults);
-    return find_anchor_points(driver, x_axis, y_axis, opt, context);
-  }
-  SyncSourceAdapter adapter(source);
-  return find_anchor_points(adapter, x_axis, y_axis, opt, context);
+  const auto lane = make_lane(source, context);
+  return find_anchor_points(*lane, x_axis, y_axis, opt, context);
 }
 
 }  // namespace qvg

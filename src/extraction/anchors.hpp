@@ -66,15 +66,11 @@ struct AnchorResult {
     const AnchorOptions& options = {},
     const AcquisitionContext& context = {});
 
-/// The same search over an explicit driver lane. Batches that do not depend
-/// on each other — the two mask sweeps, the two snap scans — are submitted
-/// back to back when driver.depth() >= 2, pipelining the transport's
-/// command latency; at depth 1 (SyncSourceAdapter) every batch is submitted
-/// strictly after the check that gates it, call-for-call identical to the
-/// CurrentSource overload. Uninterrupted results are bit-identical at any
-/// depth. The CurrentSource overload routes here through an
-/// InstrumentDriver when context.transport is enabled, through the
-/// SyncSourceAdapter otherwise.
+/// The same search over an explicit driver lane. Every batch (diagonal, each
+/// mask sweep, each snap scan) goes through submit_and_wait strictly after
+/// the check that gates it, at any driver.depth(): both the results and
+/// which batches an interrupted job issued are identical on every lane. The
+/// CurrentSource overload routes here through make_lane().
 [[nodiscard]] Result<AnchorResult> find_anchor_points(
     AsyncCurrentSource& driver, const VoltageAxis& x_axis,
     const VoltageAxis& y_axis, const AnchorOptions& options = {},

@@ -2,11 +2,9 @@
 
 #include "common/stopwatch.hpp"
 #include "extraction/postprocess.hpp"
-#include "probe/driver/instrument_driver.hpp"
 #include "probe/probe_cache.hpp"
 
 #include <algorithm>
-#include <optional>
 
 namespace qvg {
 
@@ -25,19 +23,11 @@ FastExtractionResult run_fast_extraction(CurrentSource& source,
   // covers the typical 4-17% unique-probe fraction without rehashing.
   cache.reserve((x_axis.count() + y_axis.count()) * 8);
 
-  // One acquisition lane for the whole job, wrapped around the cache: an
-  // InstrumentDriver when the job models a transport (one driver thread per
-  // job, its stats flushed into context.faults when the lane is destroyed),
-  // the SyncSourceAdapter — call-for-call the pre-driver path — otherwise.
-  // Every stage drains the lane before returning, so the cache statistics
-  // finish() reads are quiescent.
-  std::optional<InstrumentDriver> driver;
-  std::optional<SyncSourceAdapter> adapter;
-  AsyncCurrentSource* lane = nullptr;
-  if (context.transport.enabled())
-    lane = &driver.emplace(cache, context.transport, context.faults);
-  else
-    lane = &adapter.emplace(cache);
+  // One acquisition lane for the whole job, wrapped around the cache (one
+  // driver thread per job when it models a transport). Every batch is
+  // submit + wait, so the lane is idle between stages and the cache
+  // statistics finish() reads are quiescent.
+  const auto lane = make_lane(cache, context);
 
   auto finish = [&](Status status) {
     result.status = std::move(status);
@@ -96,8 +86,7 @@ FastExtractionResult run_fast_extraction(CurrentSource& source,
   auto fit = fit_piecewise_linear(result.filtered_points,
                                   result.anchors.anchor_a,
                                   result.anchors.anchor_b, opt.fit);
-  if (!fit)
-    return finish(Status::failure(ErrorCode::kFitFailed, "fit", fit.reason()));
+  if (!fit) return finish(fit.status());
   result.fit = std::move(fit).value();
 
   // Convert pixel-space slopes and intersection to voltage units.
@@ -110,9 +99,7 @@ FastExtractionResult run_fast_extraction(CurrentSource& source,
   // Stage 5: virtualization matrix (§2.3).
   auto pair =
       virtualization_from_slopes(result.slope_steep, result.slope_shallow);
-  if (!pair)
-    return finish(Status::failure(ErrorCode::kDegenerateVirtualization,
-                                  "virtualization", pair.reason()));
+  if (!pair) return finish(pair.status());
   result.virtual_gates = *pair;
 
   return finish(Status{});

@@ -114,8 +114,7 @@ HoughBaselineResult analyze_csd_with_hough(const Csd& csd,
   auto pair =
       virtualization_from_slopes(result.slope_steep, result.slope_shallow);
   if (!pair) {
-    result.status = Status::failure(ErrorCode::kDegenerateVirtualization,
-                                    "virtualization", pair.reason());
+    result.status = pair.status();
     result.stats.compute_seconds = wall.elapsed_seconds();
     return result;
   }

@@ -19,18 +19,21 @@ double segment_distance(Point2 p, Point2 a, Point2 b) {
   return distance(p, {a.x + t * ab.x, a.y + t * ab.y});
 }
 
+Status fit_failure(const char* detail) {
+  return Status::failure(ErrorCode::kFitFailed, "fit", detail);
+}
+
 }  // namespace
 
 double distance_to_path(Point2 p, Point2 a, Point2 vertex, Point2 b) {
   return std::min(segment_distance(p, a, vertex), segment_distance(p, vertex, b));
 }
 
-Expected<PiecewiseFit> fit_piecewise_linear(const std::vector<Pixel>& points,
-                                            Pixel anchor_a, Pixel anchor_b,
-                                            const PiecewiseFitOptions& opt) {
+Result<PiecewiseFit> fit_piecewise_linear(const std::vector<Pixel>& points,
+                                          Pixel anchor_a, Pixel anchor_b,
+                                          const PiecewiseFitOptions& opt) {
   if (points.size() < 3)
-    return Expected<PiecewiseFit>::failure(
-        "piecewise fit needs at least 3 transition points");
+    return fit_failure("piecewise fit needs at least 3 transition points");
   QVG_EXPECTS(anchor_a.x < anchor_b.x);
   QVG_EXPECTS(anchor_a.y > anchor_b.y);
 
@@ -100,18 +103,15 @@ Expected<PiecewiseFit> fit_piecewise_linear(const std::vector<Pixel>& points,
   const double dx_shallow = fit.intersection.x - a.x;
   const double dx_steep = b.x - fit.intersection.x;
   if (dx_shallow < 0.25 || dx_steep < 0.25)
-    return Expected<PiecewiseFit>::failure(
-        "fitted intersection collapsed onto an anchor");
+    return fit_failure("fitted intersection collapsed onto an anchor");
 
   fit.slope_shallow = (fit.intersection.y - a.y) / dx_shallow;
   fit.slope_steep = (b.y - fit.intersection.y) / dx_steep;
 
   if (!(fit.slope_shallow < 0.0) || !(fit.slope_steep < 0.0))
-    return Expected<PiecewiseFit>::failure(
-        "fitted transition lines must both have negative slope");
+    return fit_failure("fitted transition lines must both have negative slope");
   if (!(fit.slope_steep < fit.slope_shallow))
-    return Expected<PiecewiseFit>::failure(
-        "steep/shallow slope ordering violated by the fit");
+    return fit_failure("steep/shallow slope ordering violated by the fit");
 
   double ss = 0.0;
   for (const Pixel& p : points) {

@@ -2,7 +2,6 @@
 
 #include "common/assert.hpp"
 #include "extraction/feature_gradient.hpp"
-#include "probe/driver/instrument_driver.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -59,21 +58,6 @@ SweepResult run_sweeps(AsyncCurrentSource& driver, const VoltageAxis& x_axis,
     return !result.status.ok();
   };
 
-  // Submit + wait one segment batch; on ok, `gradients` holds the reduced
-  // per-pixel gradients.
-  const auto evaluate_segment = [&](std::span<const double>& gradients) {
-    CompletionHandle handle = batch.submit(driver, x_axis.step(),
-                                           y_axis.step(), context, "sweeps");
-    const BatchCompletion& completion = handle.wait();
-    if (!completion.outcome.ok()) {
-      result.status = completion.outcome.status;
-      return false;
-    }
-    last_probes = completion.probes_after;
-    gradients = batch.reduce();
-    return true;
-  };
-
   // --- Row-major sweep (bottom -> top), moving anchor B. -----------------
   if (opt.run_row_sweep) {
     const int slack = opt.triangle_slack_pixels;
@@ -95,8 +79,13 @@ SweepResult run_sweeps(AsyncCurrentSource& driver, const VoltageAxis& x_axis,
       batch.clear();
       for (int x = x_lo; x <= x_hi; ++x)
         batch.add(x_axis.voltage(x), y_axis.voltage(row));
-      std::span<const double> gradients;
-      if (!evaluate_segment(gradients)) return result;
+      const auto acquired = batch.acquire(driver, x_axis.step(), y_axis.step(),
+                                          context, "sweeps", last_probes);
+      if (!acquired) {
+        result.status = acquired.status();
+        return result;
+      }
+      const std::span<const double> gradients = *acquired;
       SweepPoint best{{x_lo, row}, -1e300};
       for (int x = x_lo; x <= x_hi; ++x) {
         const double g = gradients[static_cast<std::size_t>(x - x_lo)];
@@ -134,8 +123,13 @@ SweepResult run_sweeps(AsyncCurrentSource& driver, const VoltageAxis& x_axis,
       batch.clear();
       for (int y = y_lo; y <= y_hi; ++y)
         batch.add(x_axis.voltage(col), y_axis.voltage(y));
-      std::span<const double> gradients;
-      if (!evaluate_segment(gradients)) return result;
+      const auto acquired = batch.acquire(driver, x_axis.step(), y_axis.step(),
+                                          context, "sweeps", last_probes);
+      if (!acquired) {
+        result.status = acquired.status();
+        return result;
+      }
+      const std::span<const double> gradients = *acquired;
       SweepPoint best{{col, y_lo}, -1e300};
       for (int y = y_lo; y <= y_hi; ++y) {
         const double g = gradients[static_cast<std::size_t>(y - y_lo)];
@@ -159,13 +153,8 @@ SweepResult run_sweeps(CurrentSource& source, const VoltageAxis& x_axis,
                        const VoltageAxis& y_axis, Pixel anchor_a,
                        Pixel anchor_b, const SweepOptions& opt,
                        const AcquisitionContext& context) {
-  if (context.transport.enabled()) {
-    InstrumentDriver driver(source, context.transport, context.faults);
-    return run_sweeps(driver, x_axis, y_axis, anchor_a, anchor_b, opt,
-                      context);
-  }
-  SyncSourceAdapter adapter(source);
-  return run_sweeps(adapter, x_axis, y_axis, anchor_a, anchor_b, opt, context);
+  const auto lane = make_lane(source, context);
+  return run_sweeps(*lane, x_axis, y_axis, anchor_a, anchor_b, opt, context);
 }
 
 }  // namespace qvg

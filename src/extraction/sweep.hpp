@@ -84,13 +84,11 @@ struct SweepResult {
                                      const AcquisitionContext& context = {});
 
 /// The same sweeps over an explicit driver lane. Each segment's argmax
-/// moves the anchor that shapes the next segment, so segments are
-/// inherently serial — the driver still absorbs the per-batch transport
-/// charge and keeps the cancellation boundary at the driver, but there is
-/// no lookahead to pipeline. Results are bit-identical to the CurrentSource
-/// overload, which routes here through an InstrumentDriver when
-/// context.transport is enabled and through the SyncSourceAdapter
-/// otherwise.
+/// moves the anchor that shapes the next segment, so every segment goes
+/// through submit_and_wait — the driver still absorbs the per-batch
+/// transport charge and keeps the cancellation boundary at the driver.
+/// Results are bit-identical to the CurrentSource overload, which routes
+/// here through make_lane().
 [[nodiscard]] SweepResult run_sweeps(AsyncCurrentSource& driver,
                                      const VoltageAxis& x_axis,
                                      const VoltageAxis& y_axis, Pixel anchor_a,

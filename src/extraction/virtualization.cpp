@@ -13,14 +13,16 @@ Matrix VirtualGatePair::matrix() const {
   return Matrix{{1.0, alpha12}, {alpha21, 1.0}};
 }
 
-Expected<VirtualGatePair> virtualization_from_slopes(double slope_steep,
-                                                     double slope_shallow) {
+Result<VirtualGatePair> virtualization_from_slopes(double slope_steep,
+                                                   double slope_shallow) {
+  const auto degenerate = [](const char* detail) {
+    return Status::failure(ErrorCode::kDegenerateVirtualization,
+                           "virtualization", detail);
+  };
   if (!(slope_steep < 0.0) || !(slope_shallow < 0.0))
-    return Expected<VirtualGatePair>::failure(
-        "transition-line slopes must be negative");
+    return degenerate("transition-line slopes must be negative");
   if (!(slope_steep < slope_shallow))
-    return Expected<VirtualGatePair>::failure(
-        "steep slope must be more negative than shallow slope");
+    return degenerate("steep slope must be more negative than shallow slope");
   VirtualGatePair pair;
   pair.alpha12 = -1.0 / slope_steep;
   pair.alpha21 = -slope_shallow;

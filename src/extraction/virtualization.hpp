@@ -13,7 +13,7 @@
 // convention relative to the paper's figures).
 #pragma once
 
-#include "common/error.hpp"
+#include "common/status.hpp"
 #include "grid/csd.hpp"
 #include "linalg/matrix.hpp"
 
@@ -33,8 +33,9 @@ struct VirtualGatePair {
 };
 
 /// Build the pair from measured slopes (both must be negative, with
-/// m_steep < m_shallow). Fails otherwise.
-[[nodiscard]] Expected<VirtualGatePair> virtualization_from_slopes(
+/// m_steep < m_shallow). Fails typed otherwise (kDegenerateVirtualization,
+/// stage "virtualization").
+[[nodiscard]] Result<VirtualGatePair> virtualization_from_slopes(
     double slope_steep, double slope_shallow);
 
 /// Slope of a line after mapping voltage space through the virtualization

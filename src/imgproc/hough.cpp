@@ -1,7 +1,6 @@
 #include "imgproc/hough.hpp"
 
 #include "common/assert.hpp"
-#include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
@@ -50,80 +49,25 @@ HoughAccumulator hough_accumulate(const GridU8& edges, const HoughOptions& opt) 
     sin_t[t] = std::sin(theta);
   }
 
-  // Gather the (usually sparse) edge pixels once. Each theta-parallel chunk
-  // owns a disjoint set of theta columns of the accumulator, so both paths
-  // below are race-free; integer vote increments commute, so the counts are
-  // identical to the serial pixel-major loop in either mode.
+  // Gather the (usually sparse) edge pixels once, then vote point-major
+  // within theta-parallel chunks. Each chunk owns a disjoint set of theta
+  // columns of the accumulator, so the loop is race-free; integer vote
+  // increments commute, so the counts are identical to the serial
+  // pixel-major loop.
   std::vector<std::pair<double, double>> points;
   for (std::size_t y = 0; y < edges.height(); ++y)
     for (std::size_t x = 0; x < edges.width(); ++x)
       if (edges(x, y) != 0)
         points.emplace_back(static_cast<double>(x), static_cast<double>(y));
 
-  if (opt.accumulate_mode == HoughAccumulateMode::kFlat) {
-    // Ablation path: point-major over the whole theta chunk. Each point
-    // touches a rho bin per theta across the full chunk, so consecutive
-    // points stride through ~the whole accumulator — fine for small maps,
-    // cache-hostile for large ones.
-    parallel_for_rows(n_theta, [&](std::size_t t0, std::size_t t1) {
-      for (const auto& [fx, fy] : points) {
-        for (std::size_t t = t0; t < t1; ++t) {
-          const double rho = fx * cos_t[t] + fy * sin_t[t];
-          const auto bin = static_cast<std::ptrdiff_t>(
-              std::round((rho - acc.rho_min) / acc.rho_step));
-          if (bin < 0 || static_cast<std::size_t>(bin) >= n_rho) continue;
-          ++acc.votes(t, static_cast<std::size_t>(bin));
-        }
-      }
-    });
-    return acc;
-  }
-
-  // Blocked path: bucket edge points into kTile x kTile spatial tiles.
-  // Points in one tile are within kTile*sqrt(2) pixels of each other, so
-  // for a fixed theta their rho values — and hence the accumulator rows they
-  // touch — span a window of ~kTile*sqrt(2)/rho_step bins. Sweeping a tile's
-  // points before moving on keeps that slab (x the chunk's theta columns)
-  // resident in L1/L2 instead of re-streaming the full rho range per point.
-  // The inner theta sweep is SIMD over VecD lanes with the identical
-  // per-theta expression (fx*cos + fy*sin, then scalar round per lane).
-  constexpr std::size_t kTile = 64;
-  const std::size_t tiles_x = (edges.width() + kTile - 1) / kTile;
-  const std::size_t tiles_y = (edges.height() + kTile - 1) / kTile;
-  std::vector<std::vector<std::pair<double, double>>> tiles(tiles_x * tiles_y);
-  for (const auto& [fx, fy] : points) {
-    const auto tx = static_cast<std::size_t>(fx) / kTile;
-    const auto ty = static_cast<std::size_t>(fy) / kTile;
-    tiles[ty * tiles_x + tx].push_back({fx, fy});
-  }
-
-  constexpr std::size_t kLanes = simd::VecD::kLanes;
-  const double rho_min = acc.rho_min;
-  const double rho_step = acc.rho_step;
-  int* votes = acc.votes.raw().data();
   parallel_for_rows(n_theta, [&](std::size_t t0, std::size_t t1) {
-    for (const auto& tile : tiles) {
-      for (const auto& [fx, fy] : tile) {
-        const simd::VecD vx = simd::VecD::broadcast(fx);
-        const simd::VecD vy = simd::VecD::broadcast(fy);
-        std::size_t t = t0;
-        for (; t + kLanes <= t1; t += kLanes) {
-          const simd::VecD rho = vx * simd::VecD::load(cos_t.data() + t) +
-                                 vy * simd::VecD::load(sin_t.data() + t);
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            const auto bin = static_cast<std::ptrdiff_t>(
-                std::round((rho[l] - rho_min) / rho_step));
-            if (bin < 0 || static_cast<std::size_t>(bin) >= n_rho) continue;
-            ++votes[static_cast<std::size_t>(bin) * n_theta + (t + l)];
-          }
-        }
-        for (; t < t1; ++t) {
-          const double rho = fx * cos_t[t] + fy * sin_t[t];
-          const auto bin = static_cast<std::ptrdiff_t>(
-              std::round((rho - rho_min) / rho_step));
-          if (bin < 0 || static_cast<std::size_t>(bin) >= n_rho) continue;
-          ++votes[static_cast<std::size_t>(bin) * n_theta + t];
-        }
+    for (const auto& [fx, fy] : points) {
+      for (std::size_t t = t0; t < t1; ++t) {
+        const double rho = fx * cos_t[t] + fy * sin_t[t];
+        const auto bin = static_cast<std::ptrdiff_t>(
+            std::round((rho - acc.rho_min) / acc.rho_step));
+        if (bin < 0 || static_cast<std::size_t>(bin) >= n_rho) continue;
+        ++acc.votes(t, static_cast<std::size_t>(bin));
       }
     }
   });

@@ -23,19 +23,6 @@ struct HoughLine {
   [[nodiscard]] std::optional<double> intercept() const;
 };
 
-/// How hough_accumulate walks (edge point, theta) space.
-enum class HoughAccumulateMode {
-  /// Cache-blocked production path: edge points bucketed into spatial tiles,
-  /// theta swept SIMD-wide per point within each theta-parallel chunk, so
-  /// the active accumulator slab (chunk columns x one tile's rho window)
-  /// stays in L1/L2 instead of streaming the whole rho range per point.
-  /// Integer votes are order-independent: counts are identical to kFlat.
-  kBlocked,
-  /// The PR 1 theta-parallel point-major loop, kept as the ablation
-  /// reference (also the bench harness's before/after baseline).
-  kFlat,
-};
-
 struct HoughOptions {
   double rho_resolution = 1.0;                  // pixels per accumulator bin
   double theta_resolution_deg = 1.0;            // degrees per accumulator bin
@@ -45,7 +32,6 @@ struct HoughOptions {
   /// Peak NMS window half-sizes in accumulator bins.
   int nms_rho_radius = 4;
   int nms_theta_radius = 4;
-  HoughAccumulateMode accumulate_mode = HoughAccumulateMode::kBlocked;
 };
 
 /// Accumulator plus metadata, exposed for tests and diagnostics.

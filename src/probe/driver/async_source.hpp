@@ -19,6 +19,12 @@
 //   * InstrumentDriver (instrument_driver.hpp) — a dedicated driver thread
 //     owning a bounded request ring and a simulated transport, for jobs
 //     that model a slow link (io_depth >= 1).
+// make_lane() picks between them for a job.
+//
+// The paper's fast method is serial by construction — each sweep segment's
+// argmax shapes the next segment, each anchor scan the next scan — so every
+// probe loop except the raster goes through submit_and_wait(), one batch at
+// a time. Only the raster keeps up to depth() batches in flight.
 #pragma once
 
 #include "probe/acquisition_context.hpp"
@@ -103,7 +109,7 @@ class AsyncCurrentSource {
 
   /// The source's probe_count() after the last completed batch. Only
   /// meaningful when nothing is in flight (call after drain(), or at entry);
-  /// pipelined loops use BatchCompletion::probes_after instead.
+  /// probe loops track BatchCompletion::probes_after instead.
   [[nodiscard]] virtual long probes_completed() const = 0;
 };
 
@@ -129,5 +135,22 @@ class SyncSourceAdapter final : public AsyncCurrentSource {
  private:
   CurrentSource& source_;
 };
+
+/// The job's acquisition lane over `source`: an InstrumentDriver when
+/// context.transport is enabled (its DriverStats flushed into
+/// context.faults when the lane is destroyed), the SyncSourceAdapter
+/// otherwise.
+[[nodiscard]] std::unique_ptr<AsyncCurrentSource> make_lane(
+    CurrentSource& source, const AcquisitionContext& context);
+
+/// The serial acquisition step: submit one batch, wait for its completion,
+/// and on success advance `probes` to the completion's probes_after. Returns
+/// the batch's ProbeOutcome (its status is the failure otherwise, and
+/// `probes` is left unchanged). `points` and `out` are released on return.
+[[nodiscard]] ProbeOutcome submit_and_wait(AsyncCurrentSource& driver,
+                                           std::span<const Point2> points,
+                                           std::span<double> out,
+                                           const AcquisitionContext& context,
+                                           const char* stage, long& probes);
 
 }  // namespace qvg

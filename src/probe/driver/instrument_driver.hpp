@@ -8,8 +8,8 @@
 // probe_with_retry, charges the transport cost, and fulfils the completion.
 // Because one thread executes everything serially in submission order, the
 // probe traffic the inner source sees — order, counts, retries, cache hits —
-// is identical to the synchronous loops', which is what keeps pipelined
-// acquisition bit-identical to the SyncSourceAdapter lane.
+// is identical to the synchronous loops', which is what keeps the pipelined
+// raster bit-identical to the SyncSourceAdapter lane.
 //
 // Transport accounting (see TransportOptions): every executed batch charges
 // latency_us + points/bandwidth to the source's SimClock, an

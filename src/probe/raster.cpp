@@ -1,6 +1,5 @@
 #include "probe/raster.hpp"
 
-#include "probe/driver/instrument_driver.hpp"
 #include "probe/retry_policy.hpp"
 
 #include <algorithm>
@@ -12,12 +11,13 @@
 
 namespace qvg {
 
-Csd acquire_full_csd(CurrentSource& source, const VoltageAxis& x_axis,
-                     const VoltageAxis& y_axis) {
-  Csd csd(x_axis, y_axis);
-  // One batched request for the whole window, in the raster's row-major
-  // bottom-to-top probe order. The grid is row-major with x fastest, so the
-  // batch writes straight into its storage.
+namespace {
+
+/// Every pixel of the window in the raster's row-major bottom-to-top probe
+/// order. The grid is row-major with x fastest, so a batch of these points
+/// writes straight into the matching span of its storage.
+std::vector<Point2> raster_points(const VoltageAxis& x_axis,
+                                  const VoltageAxis& y_axis) {
   std::vector<Point2> points;
   points.reserve(x_axis.count() * y_axis.count());
   for (std::size_t y = 0; y < y_axis.count(); ++y) {
@@ -25,7 +25,16 @@ Csd acquire_full_csd(CurrentSource& source, const VoltageAxis& x_axis,
     for (std::size_t x = 0; x < x_axis.count(); ++x)
       points.push_back({x_axis.voltage(static_cast<double>(x)), vy});
   }
-  source.get_currents(points, csd.grid().raw());
+  return points;
+}
+
+}  // namespace
+
+Csd acquire_full_csd(CurrentSource& source, const VoltageAxis& x_axis,
+                     const VoltageAxis& y_axis) {
+  // One batched request for the whole window.
+  Csd csd(x_axis, y_axis);
+  source.get_currents(raster_points(x_axis, y_axis), csd.grid().raw());
   return csd;
 }
 
@@ -44,12 +53,14 @@ Result<Csd> acquire_full_csd(AsyncCurrentSource& driver,
   // then costs well under 1% of the acquisition while a cancelled job still
   // stops within a few hundred probes.
   //
-  // Pipelining: up to driver.depth() batches ride in flight (double
-  // buffering at depth 2), overlapping the transport's command latency
-  // across consecutive batches. All bookkeeping — budget checks, drift
-  // ranges — is driven by completion-carried probe counts, never by reading
-  // the source while transfers are in flight, so every check value is
-  // deterministic for a given depth.
+  // Pipelining: the raster is the one probe loop with no data dependency
+  // between batches, so up to driver.depth() of them ride in flight,
+  // overlapping the transport's command latency across consecutive
+  // batches. Every batch is a sub-span of one window-wide point list. All
+  // bookkeeping — budget checks, drift ranges — is driven by
+  // completion-carried probe counts, never by reading the source while
+  // transfers are in flight, so every check value is deterministic for a
+  // given depth.
   constexpr std::size_t kMinBatchPoints = 512;
   Csd csd(x_axis, y_axis);
   const std::size_t width = x_axis.count();
@@ -59,7 +70,8 @@ Result<Csd> acquire_full_csd(AsyncCurrentSource& driver,
   const std::size_t total_batches =
       (height + rows_per_batch - 1) / rows_per_batch;
   const long probes_start = driver.probes_completed();  // budget: job-relative
-  std::span<double> out(csd.grid().raw());
+  const std::vector<Point2> points = raster_points(x_axis, y_axis);
+  const std::span<double> out(csd.grid().raw());
 
   // Per-batch bookkeeping for drift recovery: which inner probe counts each
   // row batch was served at. A kDeviceDrifted report names the range of
@@ -77,24 +89,17 @@ Result<Csd> acquire_full_csd(AsyncCurrentSource& driver,
     records.push_back(
         BatchRecord{y0, std::min(height, y0 + rows_per_batch), 0, 0, false});
 
-  const auto build_points = [&](const BatchRecord& record,
-                                std::vector<Point2>& points) {
-    points.clear();
-    points.reserve((record.y1 - record.y0) * width);
-    for (std::size_t y = record.y0; y < record.y1; ++y) {
-      const double vy = y_axis.voltage(static_cast<double>(y));
-      for (std::size_t x = 0; x < width; ++x)
-        points.push_back({x_axis.voltage(static_cast<double>(x)), vy});
-    }
+  const auto batch_points = [&](const BatchRecord& record) {
+    return std::span<const Point2>(points).subspan(
+        record.y0 * width, (record.y1 - record.y0) * width);
+  };
+  const auto batch_out = [&](const BatchRecord& record) {
+    return out.subspan(record.y0 * width, (record.y1 - record.y0) * width);
   };
 
-  // Submission state. Point buffers rotate through a window-sized pool: a
-  // batch's points must stay alive until its completion is consumed, and at
-  // most `window` batches are in flight, so buffer (index % window) is free
-  // by the time it is reused.
-  const std::size_t window = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::max<long>(1, driver.depth())));
-  std::vector<std::vector<Point2>> buffers(std::min(window, total_batches));
+  // Submission state: at most `window` batches in flight.
+  const std::size_t window =
+      static_cast<std::size_t>(std::max<long>(1, driver.depth()));
   std::vector<CompletionHandle> handles(total_batches);
   std::size_t submitted = 0;
   std::size_t completed = 0;
@@ -149,13 +154,12 @@ Result<Csd> acquire_full_csd(AsyncCurrentSource& driver,
   // Drain the stale queue, re-probing each corrupted batch against the
   // recalibrated source. The ring is drained first — every in-flight batch
   // completes and records its probe range before staleness is judged — and
-  // re-issues then run strictly serially (submit + wait), so recovery is
+  // re-issues then run strictly serially (submit_and_wait), so recovery is
   // deterministic at any depth and identical to the synchronous path at
   // depth 1. Re-acquisition is bounded: a schedule that drifts faster than
   // recovery can converge fails typed instead of looping.
   long reacquired_batches = 0;
   const long reacquire_limit = 4 + 2 * static_cast<long>(total_batches);
-  std::vector<Point2> reissue_points;
   const auto recover = [&]() -> Status {
     while (completed < submitted) consume_one();
     if (!stop.ok()) return stop;
@@ -175,20 +179,17 @@ Result<Csd> acquire_full_csd(AsyncCurrentSource& driver,
             "past " +
                 std::to_string(reacquire_limit) + " re-issued batches)");
       BatchRecord& record = records[i];
-      build_points(record, reissue_points);
-      CompletionHandle handle = driver.submit(
-          reissue_points, out.subspan(record.y0 * width, reissue_points.size()),
-          context, "raster");
-      const BatchCompletion& completion = handle.wait();
-      if (!completion.outcome.ok()) return completion.outcome.status;
-      record.end_probe = completion.probes_after;
+      const ProbeOutcome outcome =
+          submit_and_wait(driver, batch_points(record), batch_out(record),
+                          context, "raster", last_probes);
+      if (!outcome.ok()) return outcome.status;
+      record.end_probe = last_probes;
       record.start_probe =
-          record.end_probe - static_cast<long>(reissue_points.size());
+          record.end_probe - static_cast<long>(batch_points(record).size());
       record.stale = false;
-      last_probes = completion.probes_after;
       context.faults.record_reacquired_rows(
           static_cast<long>(record.y1 - record.y0));
-      if (completion.outcome.drift_detected) mark_stale(completion.outcome);
+      if (outcome.drift_detected) mark_stale(outcome);
     }
     return {};
   };
@@ -198,12 +199,9 @@ Result<Csd> acquire_full_csd(AsyncCurrentSource& driver,
   for (;;) {
     while (stop.ok() && submitted < total_batches &&
            submitted - completed < window) {
-      BatchRecord& record = records[submitted];
-      std::vector<Point2>& buffer = buffers[submitted % buffers.size()];
-      build_points(record, buffer);
-      handles[submitted] = driver.submit(
-          buffer, out.subspan(record.y0 * width, buffer.size()), context,
-          "raster");
+      const BatchRecord& record = records[submitted];
+      handles[submitted] = driver.submit(batch_points(record),
+                                         batch_out(record), context, "raster");
       ++submitted;
     }
     if (completed == submitted) break;  // drained: done, or stopped
@@ -231,12 +229,8 @@ Result<Csd> acquire_full_csd(CurrentSource& source, const VoltageAxis& x_axis,
                              const VoltageAxis& y_axis,
                              const AcquisitionContext& context) {
   if (!context.limited()) return acquire_full_csd(source, x_axis, y_axis);
-  if (context.transport.enabled()) {
-    InstrumentDriver driver(source, context.transport, context.faults);
-    return acquire_full_csd(driver, x_axis, y_axis, context);
-  }
-  SyncSourceAdapter adapter(source);
-  return acquire_full_csd(adapter, x_axis, y_axis, context);
+  const auto lane = make_lane(source, context);
+  return acquire_full_csd(*lane, x_axis, y_axis, context);
 }
 
 }  // namespace qvg

@@ -43,15 +43,17 @@ namespace qvg {
                                            const VoltageAxis& y_axis,
                                            const AcquisitionContext& context);
 
-/// The same checked acquisition over an explicit driver lane: row batches
-/// are *submitted* to the AsyncCurrentSource with up to driver.depth()
-/// transfers in flight (pipelining the transport's command latency away),
-/// and every budget/drift decision is driven by completion-carried probe
-/// counts, so results and check sequences are deterministic at any depth
-/// and bit-identical across depths for uninterrupted runs. The
-/// CurrentSource overload above routes here — through an InstrumentDriver
-/// when context.transport is enabled, through the SyncSourceAdapter
-/// (call-for-call the pre-driver loop) otherwise.
+/// The same checked acquisition over an explicit driver lane. Rows do not
+/// depend on each other, so this is the one probe loop that pipelines: row
+/// batches — sub-spans of one window-wide point list — are *submitted* to
+/// the AsyncCurrentSource with up to driver.depth() transfers in flight
+/// (hiding the transport's command latency), while drift re-issues run
+/// serially through submit_and_wait. Every budget/drift decision is driven
+/// by completion-carried probe counts, so results and check sequences are
+/// deterministic at any depth and bit-identical across depths for
+/// uninterrupted runs. The CurrentSource overload above routes here through
+/// make_lane() (the SyncSourceAdapter lane is call-for-call the pre-driver
+/// loop).
 [[nodiscard]] Result<Csd> acquire_full_csd(AsyncCurrentSource& driver,
                                            const VoltageAxis& x_axis,
                                            const VoltageAxis& y_axis,

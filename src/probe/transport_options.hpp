@@ -7,8 +7,9 @@
 // SyncSourceAdapter exactly as before, bit for bit. io_depth >= 1 routes the
 // job through an InstrumentDriver whose request ring holds up to io_depth
 // in-flight batches: io_depth = 1 is the synchronous-submission regime
-// (every batch pays the full latency), io_depth >= 2 lets the pipelined
-// probe loops overlap command latency across consecutive batches.
+// (every batch pays the full latency), io_depth >= 2 lets the raster — the
+// one pipelined probe loop — overlap command latency across consecutive
+// batches.
 #pragma once
 
 #include <cstdint>

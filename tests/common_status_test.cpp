@@ -85,5 +85,29 @@ TEST(ResultTest, MoveOutValue) {
   EXPECT_EQ(taken, "payload");
 }
 
+TEST(ResultTest, ValueOnFailureThrows) {
+  Result<std::string> result(
+      Status::failure(ErrorCode::kFitFailed, "fit", "bad"));
+  const Result<std::string>& view = result;
+  EXPECT_THROW((void)view.value(), ContractViolation);
+  EXPECT_THROW((void)result.value(), ContractViolation);
+  EXPECT_THROW((void)std::move(result).value(), ContractViolation);
+}
+
+TEST(ResultTest, ValueOrFallsBack) {
+  const Result<int> failed(
+      Status::failure(ErrorCode::kFitFailed, "fit", "bad"));
+  EXPECT_EQ(failed.value_or(7), 7);
+  const Result<int> ok(3);
+  EXPECT_EQ(ok.value_or(7), 3);
+}
+
+TEST(ResultTest, ArrowOperator) {
+  Result<std::string> result(std::string("abc"));
+  EXPECT_EQ(result->size(), 3u);
+  const Result<std::string>& view = result;
+  EXPECT_EQ(view->size(), 3u);
+}
+
 }  // namespace
 }  // namespace qvg

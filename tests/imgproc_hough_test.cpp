@@ -1,11 +1,18 @@
+#include "common/random.hpp"
 #include "imgproc/hough.hpp"
+#include "test_support.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <numbers>
 
 namespace qvg {
 namespace {
+
+// The theta-parallel accumulator must vote on a real multi-threaded pool.
+const bool g_force_threads = testsupport::force_multithread_pool();
 
 /// Draw a line y = m x + c into a binary image.
 GridU8 line_image(std::size_t n, double m, double c) {
@@ -126,6 +133,78 @@ TEST(HoughTest, AccumulatorBinMappingRoundTrips) {
   EXPECT_NEAR(acc.theta_of_bin(0), 0.0, 1e-12);
   const double diag = std::hypot(16.0, 16.0);
   EXPECT_NEAR(acc.rho_of_bin(acc.votes.height() - 1), diag, 1.5);
+}
+
+GridU8 random_edges(std::size_t w, std::size_t h, double density,
+                    std::uint64_t seed) {
+  Rng rng(seed);
+  GridU8 edges(w, h, 0);
+  for (auto& v : edges.raw()) v = rng.uniform() < density ? 1 : 0;
+  return edges;
+}
+
+/// The serial pixel-major vote count, written out independently of
+/// hough_accumulate's theta-parallel loop.
+Grid2D<int> serial_votes(const GridU8& edges, const HoughOptions& opt) {
+  const double diag = std::hypot(static_cast<double>(edges.width()),
+                                 static_cast<double>(edges.height()));
+  const double rho_min = -diag;
+  const double theta_step = opt.theta_resolution_deg * std::numbers::pi / 180.0;
+  const auto n_rho = static_cast<std::size_t>(
+                         std::ceil(2.0 * diag / opt.rho_resolution)) +
+                     1;
+  const auto n_theta =
+      static_cast<std::size_t>(std::ceil(std::numbers::pi / theta_step));
+  Grid2D<int> votes(n_theta, n_rho, 0);
+  for (std::size_t y = 0; y < edges.height(); ++y) {
+    for (std::size_t x = 0; x < edges.width(); ++x) {
+      if (edges(x, y) == 0) continue;
+      for (std::size_t t = 0; t < n_theta; ++t) {
+        const double theta = theta_step * static_cast<double>(t);
+        const double rho = static_cast<double>(x) * std::cos(theta) +
+                           static_cast<double>(y) * std::sin(theta);
+        const auto bin = static_cast<std::ptrdiff_t>(
+            std::round((rho - rho_min) / opt.rho_resolution));
+        if (bin < 0 || static_cast<std::size_t>(bin) >= n_rho) continue;
+        ++votes(t, static_cast<std::size_t>(bin));
+      }
+    }
+  }
+  return votes;
+}
+
+TEST(HoughVoteTest, MatchesSerialCountOnRandomAndDegenerateMaps) {
+  struct Case {
+    std::size_t w;
+    std::size_t h;
+    double density;
+  };
+  const HoughOptions opt;
+  for (const Case& c : {Case{97, 61, 0.03}, Case{64, 64, 0.5}, Case{130, 7, 0.2},
+                        Case{1, 64, 0.5}, Case{64, 1, 0.5}, Case{3, 3, 1.0}}) {
+    const GridU8 edges = random_edges(c.w, c.h, c.density, 77 + c.w);
+    EXPECT_EQ(hough_accumulate(edges, opt).votes, serial_votes(edges, opt))
+        << c.w << "x" << c.h;
+  }
+}
+
+TEST(HoughVoteTest, EmptyMapAndNonDefaultResolutions) {
+  HoughOptions opt;
+  opt.rho_resolution = 0.5;
+  opt.theta_resolution_deg = 2.0;
+
+  const GridU8 empty(80, 80, 0);
+  const HoughAccumulator none = hough_accumulate(empty, opt);
+  EXPECT_EQ(none.votes, serial_votes(empty, opt));
+  for (int v : none.votes.raw()) EXPECT_EQ(v, 0);
+
+  GridU8 one(80, 80, 0);
+  one(79, 79) = 1;  // the far corner pixel
+  const HoughAccumulator corner = hough_accumulate(one, opt);
+  EXPECT_EQ(corner.votes, serial_votes(one, opt));
+  long total = 0;
+  for (int v : corner.votes.raw()) total += v;
+  EXPECT_EQ(total, static_cast<long>(corner.votes.width()));  // one per theta
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include "common/thread_pool.hpp"
 #include "imgproc/canny.hpp"
 #include "imgproc/convolve.hpp"
-#include "imgproc/hough.hpp"
 #include "imgproc/kernel.hpp"
 #include "imgproc/sobel.hpp"
 
@@ -297,69 +296,6 @@ TEST(CannyEquivalenceTest, PipelineMatchesReferenceOnSyntheticScenes) {
   for (std::size_t n : {64u, 97u}) {
     const GridD scene = synthetic_scene(n, 5000 + n);
     EXPECT_EQ(canny(scene), canny_reference(scene)) << n;
-  }
-}
-
-GridU8 random_edges(std::size_t w, std::size_t h, double density,
-                    std::uint64_t seed) {
-  Rng rng(seed);
-  GridU8 edges(w, h, 0);
-  for (auto& v : edges.raw()) v = rng.uniform() < density ? 1 : 0;
-  return edges;
-}
-
-TEST(HoughEquivalenceTest, BlockedMatchesFlatVotes) {
-  HoughOptions flat;
-  flat.accumulate_mode = HoughAccumulateMode::kFlat;
-  HoughOptions blocked;
-  blocked.accumulate_mode = HoughAccumulateMode::kBlocked;
-
-  struct Case {
-    std::size_t w;
-    std::size_t h;
-    double density;
-  };
-  for (const Case& c : {Case{97, 61, 0.03}, Case{64, 64, 0.5}, Case{130, 7, 0.2},
-                        Case{1, 64, 0.5}, Case{64, 1, 0.5}, Case{3, 3, 1.0}}) {
-    const GridU8 edges = random_edges(c.w, c.h, c.density, 77 + c.w);
-    const HoughAccumulator a = hough_accumulate(edges, flat);
-    const HoughAccumulator b = hough_accumulate(edges, blocked);
-    EXPECT_EQ(a.votes, b.votes) << c.w << "x" << c.h;
-  }
-}
-
-TEST(HoughEquivalenceTest, EmptyMapAndNonDefaultResolutions) {
-  HoughOptions flat;
-  flat.accumulate_mode = HoughAccumulateMode::kFlat;
-  flat.rho_resolution = 0.5;
-  flat.theta_resolution_deg = 2.0;
-  HoughOptions blocked = flat;
-  blocked.accumulate_mode = HoughAccumulateMode::kBlocked;
-
-  const GridU8 empty(80, 80, 0);
-  EXPECT_EQ(hough_accumulate(empty, flat).votes,
-            hough_accumulate(empty, blocked).votes);
-
-  GridU8 one(80, 80, 0);
-  one(79, 79) = 1;  // last pixel of the last (partial) tile
-  EXPECT_EQ(hough_accumulate(one, flat).votes,
-            hough_accumulate(one, blocked).votes);
-}
-
-TEST(HoughEquivalenceTest, LinesAgreeOnCannyOutput) {
-  const GridD scene = synthetic_scene(96, 42);
-  const GridU8 edges = canny(scene);
-  HoughOptions flat;
-  flat.accumulate_mode = HoughAccumulateMode::kFlat;
-  HoughOptions blocked;
-  blocked.accumulate_mode = HoughAccumulateMode::kBlocked;
-  const auto lf = hough_lines(edges, flat);
-  const auto lb = hough_lines(edges, blocked);
-  ASSERT_EQ(lf.size(), lb.size());
-  for (std::size_t i = 0; i < lf.size(); ++i) {
-    EXPECT_EQ(lf[i].rho, lb[i].rho);
-    EXPECT_EQ(lf[i].theta, lb[i].theta);
-    EXPECT_EQ(lf[i].votes, lb[i].votes);
   }
 }
 

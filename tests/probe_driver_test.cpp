@@ -320,6 +320,55 @@ TEST(DriverExtractionEquivalenceTest, FastPipelineBitIdenticalAcrossDepths) {
   }
 }
 
+TEST(DriverExtractionEquivalenceTest, AnchorsInterruptionIsIdenticalAcrossLanes) {
+  // A probe budget that lands between the two anchor mask sweeps. Anchor
+  // batches are strictly serial at every depth, so the Mask_y sweep is never
+  // issued: the typed Status, the request counts and the probe log are the
+  // adapter's on every lane, run after run.
+  const Csd recorded = make_synthetic_csd(SyntheticCsdSpec{.pixels = 100});
+  auto run_lane = [&recorded](Lane lane, long max_probes,
+                              std::vector<ProgressEvent>* events) {
+    CsdPlayback source(recorded);
+    AcquisitionContext context = lane_context(lane);
+    context.max_probes = max_probes;
+    if (events != nullptr)
+      context.progress = ProgressSink::make(
+          [events](const ProgressEvent& event) { events->push_back(event); });
+    return run_fast_extraction(source, recorded.x_axis(), recorded.y_axis(),
+                               {}, context);
+  };
+
+  // The anchor boundaries of an unlimited run: entry, Mask_x, Mask_y, ...
+  // The one before Mask_y samples the requests issued through Mask_x.
+  std::vector<ProgressEvent> events;
+  ASSERT_TRUE(run_lane(Lane::kAdapter, 0, &events).status.ok());
+  std::vector<long> anchor_probes;
+  for (const ProgressEvent& event : events)
+    if (event.stage == "anchors") anchor_probes.push_back(event.probes_used);
+  ASSERT_GE(anchor_probes.size(), 4u);
+  const long budget = anchor_probes[2];
+  ASSERT_GT(budget, anchor_probes[1]);
+  ASSERT_LT(budget, anchor_probes[3]);
+
+  const FastExtractionResult adapter = run_lane(Lane::kAdapter, budget, nullptr);
+  EXPECT_EQ(adapter.status.code(), ErrorCode::kBudgetExhausted);
+  EXPECT_EQ(adapter.status.stage(), std::string("anchors"));
+  EXPECT_EQ(adapter.stats.total_requests, budget);
+  for (const Lane lane : {Lane::kAdapter, Lane::kDepth1, Lane::kDepth4}) {
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      const FastExtractionResult run = run_lane(lane, budget, nullptr);
+      EXPECT_EQ(run.status, adapter.status);
+      EXPECT_EQ(run.stats.total_requests, adapter.stats.total_requests);
+      EXPECT_EQ(run.stats.unique_probes, adapter.stats.unique_probes);
+      ASSERT_EQ(run.probe_log.size(), adapter.probe_log.size());
+      for (std::size_t i = 0; i < adapter.probe_log.size(); ++i) {
+        EXPECT_EQ(run.probe_log[i].x, adapter.probe_log[i].x) << i;
+        EXPECT_EQ(run.probe_log[i].y, adapter.probe_log[i].y) << i;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Transport accounting and typed interruption.
 // ---------------------------------------------------------------------------
