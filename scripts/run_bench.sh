@@ -1,21 +1,22 @@
 #!/usr/bin/env bash
-# Build Release and refresh the perf-trajectory snapshot. The output path is
-# the optional first argument (default: BENCH_PR10.json at the repo root —
-# bump the default once per PR; no in-script renames needed). The snapshot
-# includes every PR 1-9 scenario plus the PR 10 instrument-driver latency
-# sweep and cancellation-latency scenarios, so earlier numbers stay
-# reproducible — see the "metadata" object for the CPU/compiler/flags the
-# numbers belong to.
-# Usage: scripts/run_bench.sh [output.json] [filter]
+# Build Release and run the bench_json micro-benchmark harness (kernel,
+# solver, sharded-array and driver-latency scenarios; end-to-end numbers come
+# from perfbench/). The "metadata" object in the output records the
+# CPU/compiler/flags the numbers belong to.
+# Usage: scripts/run_bench.sh <output.json> [filter]
 #   `filter` is an optional substring matched against scenario-family names;
 #   only matching families run (e.g. `scripts/run_bench.sh /tmp/f.json
-#   driver_latency_sweep`). Handy for re-measuring one family without the
-#   full ~minutes sweep.
+#   driver_latency_sweep`).
 # Set QVG_THREADS=N to pin the thread-pool size (recorded per scenario).
 set -euo pipefail
 
+if [[ $# -lt 1 ]]; then
+  echo "usage: scripts/run_bench.sh <output.json> [filter]" >&2
+  exit 1
+fi
+
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
-out="${1:-$repo_root/BENCH_PR10.json}"
+out="$1"
 filter="${2:-}"
 build_dir="$repo_root/build-release"
 

@@ -33,9 +33,9 @@ class ThreadPool {
   /// including the caller, clamped to 1024) when set to a positive
   /// integer, otherwise hardware_concurrency - 1 (so pool size == core
   /// count). QVG_THREADS makes multi-core re-measurement a one-variable
-  /// experiment: QVG_THREADS=4 bench_json records threads=4 in every
-  /// scenario. Malformed or non-positive values fall back to hardware
-  /// sizing.
+  /// experiment: under QVG_THREADS=4, perfbench records pool_threads=4 in
+  /// its run metadata and bench_json records threads=4 in every scenario.
+  /// Malformed or non-positive values fall back to hardware sizing.
   explicit ThreadPool(std::size_t thread_count = 0);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;

@@ -2,8 +2,8 @@
 // the filtered transition points. The outer endpoints are fixed at the two
 // initial anchor points; the only free parameters are the coordinates of
 // the intersection point of the two lines. The paper fits with SciPy's
-// curve_fit; we minimize the same least-squares objective with Nelder-Mead
-// and polish with Levenberg-Marquardt.
+// curve_fit; we minimize a Huber-robust least-squares objective over the
+// intersection point with Nelder-Mead alone (no gradient-based polish).
 #pragma once
 
 #include "common/geometry.hpp"

@@ -1,5 +1,4 @@
 #include "common/error.hpp"
-#include "linalg/levenberg_marquardt.hpp"
 #include "linalg/nelder_mead.hpp"
 
 #include <gtest/gtest.h>
@@ -50,70 +49,6 @@ TEST(NelderMeadTest, RespectsIterationBudget) {
 TEST(NelderMeadTest, EmptyStartThrows) {
   auto f = [](const std::vector<double>&) { return 0.0; };
   EXPECT_THROW(minimize_nelder_mead(f, {}), ContractViolation);
-}
-
-TEST(LevenbergMarquardtTest, LinearResidualsExact) {
-  // r(x) = A x - b with A = [[2,0],[0,3],[1,1]], b = [2,3,2] -> x = (1,1).
-  auto residuals = [](const std::vector<double>& x) {
-    return std::vector<double>{2 * x[0] - 2, 3 * x[1] - 3, x[0] + x[1] - 2};
-  };
-  const auto result = minimize_levenberg_marquardt(residuals, {0.0, 0.0});
-  EXPECT_NEAR(result.x[0], 1.0, 1e-6);
-  EXPECT_NEAR(result.x[1], 1.0, 1e-6);
-  EXPECT_NEAR(result.cost, 0.0, 1e-10);
-}
-
-TEST(LevenbergMarquardtTest, ExponentialCurveFit) {
-  // Fit y = a * exp(b t) through clean samples of a=2, b=-0.5.
-  std::vector<double> t;
-  std::vector<double> y;
-  for (int i = 0; i < 20; ++i) {
-    t.push_back(i * 0.25);
-    y.push_back(2.0 * std::exp(-0.5 * t.back()));
-  }
-  auto residuals = [&](const std::vector<double>& p) {
-    std::vector<double> r(t.size());
-    for (std::size_t i = 0; i < t.size(); ++i)
-      r[i] = p[0] * std::exp(p[1] * t[i]) - y[i];
-    return r;
-  };
-  const auto result = minimize_levenberg_marquardt(residuals, {1.0, -0.1});
-  EXPECT_NEAR(result.x[0], 2.0, 1e-4);
-  EXPECT_NEAR(result.x[1], -0.5, 1e-4);
-}
-
-TEST(LevenbergMarquardtTest, RosenbrockAsLeastSquares) {
-  auto residuals = [](const std::vector<double>& x) {
-    return std::vector<double>{10.0 * (x[1] - x[0] * x[0]), 1.0 - x[0]};
-  };
-  const auto result = minimize_levenberg_marquardt(residuals, {-1.2, 1.0});
-  EXPECT_NEAR(result.x[0], 1.0, 1e-4);
-  EXPECT_NEAR(result.x[1], 1.0, 1e-4);
-}
-
-TEST(LevenbergMarquardtTest, FewerResidualsThanParamsThrows) {
-  auto residuals = [](const std::vector<double>& x) {
-    return std::vector<double>{x[0] + x[1]};
-  };
-  EXPECT_THROW(minimize_levenberg_marquardt(residuals, {0.0, 0.0}),
-               ContractViolation);
-}
-
-TEST(LevenbergMarquardtTest, PolishesNelderMeadResult) {
-  // The production pipeline runs NM then could polish with LM; verify LM
-  // started from a coarse NM minimum tightens the solution.
-  auto f = [](const std::vector<double>& x) {
-    return sq(x[0] - 0.5) + sq(x[1] - 0.25) * 4.0;
-  };
-  NelderMeadOptions coarse;
-  coarse.max_iterations = 30;
-  const auto nm = minimize_nelder_mead(f, {5.0, 5.0}, coarse);
-  auto residuals = [](const std::vector<double>& x) {
-    return std::vector<double>{x[0] - 0.5, 2.0 * (x[1] - 0.25)};
-  };
-  const auto lm = minimize_levenberg_marquardt(residuals, nm.x);
-  EXPECT_NEAR(lm.x[0], 0.5, 1e-6);
-  EXPECT_NEAR(lm.x[1], 0.25, 1e-6);
 }
 
 }  // namespace
