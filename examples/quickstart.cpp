@@ -85,7 +85,7 @@ int main() {
   CancelToken redundant_cancel = CancelToken::make();
   redundant_cancel.cancel();
   request.label = "hough-redundant";
-  JobHandle redundant_job = jobs.submit(request, redundant_cancel);
+  JobHandle redundant_job = jobs.submit(request, {.cancel = redundant_cancel});
 
   const ExtractionReport& fast = fast_job.wait();
   const ExtractionReport& baseline = hough_job.wait();

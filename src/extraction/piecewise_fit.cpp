@@ -1,9 +1,9 @@
 #include "extraction/piecewise_fit.hpp"
 
 #include "common/assert.hpp"
-#include "linalg/nelder_mead.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace qvg {
@@ -21,6 +21,84 @@ double segment_distance(Point2 p, Point2 a, Point2 b) {
 
 Status fit_failure(const char* detail) {
   return Status::failure(ErrorCode::kFitFailed, "fit", detail);
+}
+
+// Nelder-Mead over the intersection point: a fixed 3-vertex simplex in the
+// plane. Coefficients are the standard reflect/expand/contract/shrink set,
+// written as the t of base + t * (dir - base).
+constexpr double kInitialStep = 0.05;  // relative to |x0| + 1 per coordinate
+constexpr double kReflect = -1.0;
+constexpr double kExpand = -2.0;
+constexpr double kContract = 0.5;
+constexpr double kShrink = 0.5;
+constexpr double kFTolerance = 1e-12;  // simplex function-value spread
+constexpr double kXTolerance = 1e-9;   // simplex diameter
+
+struct Vertex {
+  Point2 p;
+  double f = 0.0;
+};
+using Simplex = std::array<Vertex, 3>;
+
+double diameter(const Simplex& s) {
+  double worst = 0.0;
+  for (std::size_t i = 1; i < s.size(); ++i) {
+    const double dx = s[i].p.x - s[0].p.x;
+    const double dy = s[i].p.y - s[0].p.y;
+    worst = std::max(worst, std::sqrt(dx * dx + dy * dy));
+  }
+  return worst;
+}
+
+struct SimplexMinimum {
+  Point2 p;
+  int iterations = 0;
+};
+
+/// Minimize f(x, y) from x0; stops when both the f spread and the diameter
+/// fall below tolerance, or after max_iterations steps.
+template <class F>
+SimplexMinimum minimize_simplex(const F& f, Point2 x0, int max_iterations) {
+  QVG_EXPECTS(max_iterations > 0);
+  const auto eval = [&f](Point2 p) { return Vertex{p, f(p.x, p.y)}; };
+  Simplex s{eval(x0),
+            eval({x0.x + kInitialStep * (std::abs(x0.x) + 1.0), x0.y}),
+            eval({x0.x, x0.y + kInitialStep * (std::abs(x0.y) + 1.0)})};
+  const auto by_f = [](const Vertex& a, const Vertex& b) { return a.f < b.f; };
+  std::sort(s.begin(), s.end(), by_f);
+
+  int iter = 0;
+  for (; iter < max_iterations; ++iter) {
+    if (s[2].f - s[0].f < kFTolerance && diameter(s) < kXTolerance) break;
+
+    // Centroid of the two best vertices. Summing from 0.0 (which turns a
+    // -0.0 sum into +0.0) is part of the operation order the fit pins fix.
+    const Point2 c{(0.0 + s[0].p.x + s[1].p.x) / 2.0,
+                   (0.0 + s[0].p.y + s[1].p.y) / 2.0};
+    Vertex& worst = s[2];
+
+    const Vertex r = eval(c + kReflect * (worst.p - c));
+    if (r.f < s[0].f) {
+      const Vertex e = eval(c + kExpand * (worst.p - c));
+      worst = e.f < r.f ? e : r;
+    } else if (r.f < s[1].f) {
+      worst = r;
+    } else {
+      // Contraction (outside if the reflected point improved on the worst,
+      // else inside), then shrink toward the best vertex if that fails.
+      const bool outside = r.f < worst.f;
+      const Point2 toward = outside ? r.p : worst.p;
+      const Vertex k = eval(c + kContract * (toward - c));
+      if (k.f < (outside ? r.f : worst.f)) {
+        worst = k;
+      } else {
+        for (std::size_t i = 1; i < s.size(); ++i)
+          s[i] = eval(s[0].p + kShrink * (s[i].p - s[0].p));
+      }
+    }
+    std::sort(s.begin(), s.end(), by_f);
+  }
+  return {s[0].p, iter};
 }
 
 }  // namespace
@@ -43,8 +121,8 @@ Result<PiecewiseFit> fit_piecewise_linear(const std::vector<Pixel>& points,
   // Penalized objective: sum of squared residuals, with a quadratic penalty
   // that keeps the intersection strictly inside the anchor box
   // (a.x < px < b.x, b.y < py < a.y).
-  auto objective = [&](const std::vector<double>& params) {
-    const Point2 vertex{params[0], params[1]};
+  auto objective = [&](double x, double y) {
+    const Point2 vertex{x, y};
     double penalty = 0.0;
     auto violation = [](double v) { return v > 0.0 ? v * v : 0.0; };
     penalty += violation(a.x + 0.5 - vertex.x);
@@ -88,16 +166,12 @@ Result<PiecewiseFit> fit_piecewise_linear(const std::vector<Pixel>& points,
   // Initial guess: inset from the right-angle vertex (b.x, a.y) toward the
   // triangle interior.
   const double inset = opt.initial_inset;
-  std::vector<double> x0{b.x - inset * (b.x - a.x), a.y - inset * (a.y - b.y)};
-
-  NelderMeadOptions nm;
-  nm.max_iterations = opt.max_iterations;
-  nm.f_tolerance = 1e-12;
-  nm.x_tolerance = 1e-9;
-  const auto solution = minimize_nelder_mead(objective, x0, nm);
+  const Point2 x0{b.x - inset * (b.x - a.x), a.y - inset * (a.y - b.y)};
+  const SimplexMinimum solution =
+      minimize_simplex(objective, x0, opt.max_iterations);
 
   PiecewiseFit fit;
-  fit.intersection = {solution.x[0], solution.x[1]};
+  fit.intersection = solution.p;
   fit.iterations = solution.iterations;
 
   const double dx_shallow = fit.intersection.x - a.x;

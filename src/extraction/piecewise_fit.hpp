@@ -3,7 +3,11 @@
 // initial anchor points; the only free parameters are the coordinates of
 // the intersection point of the two lines. The paper fits with SciPy's
 // curve_fit; we minimize a Huber-robust least-squares objective over the
-// intersection point with Nelder-Mead alone (no gradient-based polish).
+// intersection point with a fixed 3-vertex Nelder-Mead simplex (no
+// gradient-based polish): initial step 0.05 * (|x0| + 1) per coordinate,
+// reflect -1, expand -2, contract 0.5, shrink 0.5, stopping when the
+// function-value spread is below 1e-12 and the diameter below 1e-9, or after
+// max_iterations steps.
 #pragma once
 
 #include "common/geometry.hpp"

@@ -29,7 +29,6 @@ LuDecomposition::LuDecomposition(const Matrix& a) : lu_(a), piv_(a.rows()) {
       for (std::size_t c = 0; c < n; ++c)
         std::swap(lu_(pivot, c), lu_(col, c));
       std::swap(piv_[pivot], piv_[col]);
-      pivot_sign_ = -pivot_sign_;
     }
     // Eliminate below.
     const double diag = lu_(col, col);
@@ -68,12 +67,6 @@ Matrix LuDecomposition::solve(const Matrix& b) const {
     for (std::size_t r = 0; r < b.rows(); ++r) x(r, c) = sol[r];
   }
   return x;
-}
-
-double LuDecomposition::determinant() const {
-  double det = pivot_sign_;
-  for (std::size_t i = 0; i < lu_.rows(); ++i) det *= lu_(i, i);
-  return det;
 }
 
 QrDecomposition::QrDecomposition(const Matrix& a)
@@ -132,16 +125,6 @@ std::vector<double> QrDecomposition::solve(const std::vector<double>& b) const {
     x[kk] = acc / rdiag_[kk];
   }
   return x;
-}
-
-Matrix QrDecomposition::r() const {
-  const std::size_t n = qr_.cols();
-  Matrix r(n, n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    r(i, i) = rdiag_[i];
-    for (std::size_t j = i + 1; j < n; ++j) r(i, j) = qr_(i, j);
-  }
-  return r;
 }
 
 }  // namespace qvg

@@ -1,4 +1,4 @@
-// Linear least squares, polynomial fitting, and robust line fitting.
+// Linear least squares and straight-line fitting.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -23,20 +23,5 @@ struct LineFit {
 /// with distinct x. Throws NumericalError on a degenerate configuration.
 [[nodiscard]] LineFit fit_line(const std::vector<double>& x,
                                const std::vector<double>& y);
-
-/// Theil-Sen robust line estimator (median of pairwise slopes). Resistant to
-/// up to ~29% outliers; used to sanity-check transition-line fits against
-/// erroneous sweep points.
-[[nodiscard]] LineFit fit_line_theil_sen(const std::vector<double>& x,
-                                         const std::vector<double>& y);
-
-/// Least-squares polynomial fit of given degree; returns coefficients in
-/// ascending power order (c0 + c1 x + ...).
-[[nodiscard]] std::vector<double> polyfit(const std::vector<double>& x,
-                                          const std::vector<double>& y,
-                                          int degree);
-
-/// Evaluate a polynomial with ascending-power coefficients at x.
-[[nodiscard]] double polyval(const std::vector<double>& coeffs, double x);
 
 }  // namespace qvg

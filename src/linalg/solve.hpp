@@ -7,14 +7,7 @@
 
 namespace qvg {
 
-/// Solve A x = b for square A. Throws NumericalError when singular.
-[[nodiscard]] std::vector<double> solve(const Matrix& a,
-                                        const std::vector<double>& b);
-
 /// Matrix inverse. Throws NumericalError when singular.
 [[nodiscard]] Matrix inverse(const Matrix& a);
-
-/// Determinant via LU.
-[[nodiscard]] double determinant(const Matrix& a);
 
 }  // namespace qvg

@@ -24,24 +24,6 @@ double variance(const std::vector<double>& v) {
 
 double stddev(const std::vector<double>& v) { return std::sqrt(variance(v)); }
 
-double median(std::vector<double> v) {
-  QVG_EXPECTS(!v.empty());
-  const std::size_t mid = v.size() / 2;
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid), v.end());
-  double hi = v[mid];
-  if (v.size() % 2 == 1) return hi;
-  double lo = *std::max_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid));
-  return 0.5 * (lo + hi);
-}
-
-double mad_sigma(const std::vector<double>& v) {
-  QVG_EXPECTS(!v.empty());
-  const double med = median(std::vector<double>(v));
-  std::vector<double> dev(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) dev[i] = std::abs(v[i] - med);
-  return 1.4826 * median(std::move(dev));
-}
-
 double percentile(std::vector<double> v, double p) {
   QVG_EXPECTS(!v.empty());
   QVG_EXPECTS(p >= 0.0 && p <= 100.0);
@@ -64,16 +46,6 @@ double percentile(std::vector<double> v, double p) {
                : *std::min_element(
                      v.begin() + static_cast<std::ptrdiff_t>(lo) + 1, v.end());
   return vlo * (1.0 - frac) + vhi * frac;
-}
-
-double min_value(const std::vector<double>& v) {
-  QVG_EXPECTS(!v.empty());
-  return *std::min_element(v.begin(), v.end());
-}
-
-double max_value(const std::vector<double>& v) {
-  QVG_EXPECTS(!v.empty());
-  return *std::max_element(v.begin(), v.end());
 }
 
 }  // namespace qvg

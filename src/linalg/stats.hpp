@@ -1,5 +1,5 @@
-// Descriptive statistics used by the noise models, robust fitting, and the
-// benchmark report generation.
+// Descriptive statistics: Canny's adaptive thresholds use percentile(); the
+// noise and filter tests measure with mean/variance/stddev.
 #pragma once
 
 #include <vector>
@@ -9,13 +9,7 @@ namespace qvg {
 [[nodiscard]] double mean(const std::vector<double>& v);
 [[nodiscard]] double variance(const std::vector<double>& v);   // population
 [[nodiscard]] double stddev(const std::vector<double>& v);
-[[nodiscard]] double median(std::vector<double> v);            // by value: sorts a copy
-/// Median absolute deviation scaled to be a consistent sigma estimator
-/// (multiplied by 1.4826).
-[[nodiscard]] double mad_sigma(const std::vector<double>& v);
 /// Linear-interpolated percentile, p in [0, 100].
 [[nodiscard]] double percentile(std::vector<double> v, double p);
-[[nodiscard]] double min_value(const std::vector<double>& v);
-[[nodiscard]] double max_value(const std::vector<double>& v);
 
 }  // namespace qvg

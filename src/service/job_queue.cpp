@@ -191,9 +191,8 @@ struct JobQueue::Shared {
   }
 };
 
-JobQueue::JobQueue(EngineOptions engine_options, ThreadPool* pool)
-    : engine_(engine_options),
-      pool_(pool != nullptr ? pool : &ThreadPool::global()),
+JobQueue::JobQueue(ThreadPool* pool)
+    : pool_(pool != nullptr ? pool : &ThreadPool::global()),
       shared_(std::make_shared<Shared>()) {}
 
 JobQueue::~JobQueue() { wait_all(); }
@@ -353,12 +352,6 @@ JobHandle JobQueue::submit(ExtractionRequest request, SubmitOptions options) {
     shared->all_done_cv.notify_all();
   });
   return JobHandle(std::move(state));
-}
-
-JobHandle JobQueue::submit(ExtractionRequest request, CancelToken cancel) {
-  SubmitOptions options;
-  options.cancel = std::move(cancel);
-  return submit(std::move(request), std::move(options));
 }
 
 void JobQueue::wait_all() const {

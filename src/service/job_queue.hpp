@@ -208,11 +208,10 @@ class JobQueue {
   /// 2 * kAgingDispatches times before it outranks fresh interactive work).
   static constexpr std::size_t kAgingDispatches = 4;
 
-  /// `engine_options` configure the embedded engine; `pool` overrides the
-  /// ThreadPool the jobs run on (nullptr = the global pool; the override
-  /// exists for benchmarking queue behaviour at a fixed worker count).
-  explicit JobQueue(EngineOptions engine_options = {},
-                    ThreadPool* pool = nullptr);
+  /// `pool` overrides the ThreadPool the jobs run on (nullptr = the global
+  /// pool; the override exists for benchmarking queue behaviour at a fixed
+  /// worker count).
+  explicit JobQueue(ThreadPool* pool = nullptr);
   /// Blocks until every submitted job has finished (their tasks capture
   /// queue state).
   ~JobQueue();
@@ -223,8 +222,6 @@ class JobQueue {
   /// workers, in which case the job runs synchronously here). A request
   /// without a label gets "job-<id>". Thread-safe: any thread may submit.
   JobHandle submit(ExtractionRequest request, SubmitOptions options = {});
-  /// Back-compat convenience: submit with a pre-wired token at kNormal.
-  JobHandle submit(ExtractionRequest request, CancelToken cancel);
 
   /// Configure (or reconfigure) a tenant's weight and quotas. May be called
   /// at any time; affects jobs submitted afterwards (and the dispatch share

@@ -121,6 +121,74 @@ TEST(PiecewiseFitTest, VerticalResidualModeWorksOnCleanPath) {
   EXPECT_NEAR(fit->intersection.x, spec.vertex.x, 2.0);
 }
 
+// Bit-level pins: the exact optimum and iteration count the fit reaches on
+// fixed inputs. Any change to the simplex's coefficients, operation order or
+// tie-breaking moves these, so a solver rewrite that keeps them is
+// bit-identical, not merely verdict-identical.
+struct FitPin {
+  int iterations;
+  double x, y, slope_shallow, slope_steep;
+};
+
+void expect_pinned(const Result<PiecewiseFit>& fit, const FitPin& pin) {
+  ASSERT_TRUE(fit.has_value()) << fit.reason();
+  EXPECT_EQ(fit->iterations, pin.iterations);
+  EXPECT_DOUBLE_EQ(fit->intersection.x, pin.x);
+  EXPECT_DOUBLE_EQ(fit->intersection.y, pin.y);
+  EXPECT_DOUBLE_EQ(fit->slope_shallow, pin.slope_shallow);
+  EXPECT_DOUBLE_EQ(fit->slope_steep, pin.slope_steep);
+}
+
+TEST(PiecewiseFitPinTest, CleanVertex) {
+  const PathSpec spec;
+  expect_pinned(
+      fit_piecewise_linear(path_points(spec), spec.anchor_a, spec.anchor_b),
+      {72, 51.847794972419251, 40.473225526822368, -0.22765296186947176,
+       -3.9833671279068819});
+}
+
+TEST(PiecewiseFitPinTest, Jittered) {
+  const PathSpec spec;
+  expect_pinned(fit_piecewise_linear(path_points(spec, 0.8), spec.anchor_a,
+                                     spec.anchor_b),
+                {71, 52.569228874230717, 39.411169320399118,
+                 -0.24874377477884807, -4.2271749174816931});
+}
+
+TEST(PiecewiseFitPinTest, HuberWithOutliers) {
+  const PathSpec spec;
+  auto points = path_points(spec);
+  points.push_back({30, 48});
+  points.push_back({35, 47});
+  points.push_back({55, 30});
+  PiecewiseFitOptions robust;
+  robust.huber_delta_px = 1.5;
+  expect_pinned(
+      fit_piecewise_linear(points, spec.anchor_a, spec.anchor_b, robust),
+      {71, 51.8377938361429, 40.732732596120215, -0.22150468641283766,
+       -4.0102800565199352});
+}
+
+TEST(PiecewiseFitPinTest, VerticalResidual) {
+  const PathSpec spec;
+  PiecewiseFitOptions opt;
+  opt.residual = FitResidual::kVertical;
+  expect_pinned(fit_piecewise_linear(path_points(spec), spec.anchor_a,
+                                     spec.anchor_b, opt),
+                {70, 51.766457819933187, 40.49308611791281,
+                 -0.22762078419659476, -3.9464285731817479});
+}
+
+TEST(PiecewiseFitPinTest, StopsAtIterationBudget) {
+  const PathSpec spec;
+  PiecewiseFitOptions opt;
+  opt.max_iterations = 3;
+  const auto fit =
+      fit_piecewise_linear(path_points(spec), spec.anchor_a, spec.anchor_b, opt);
+  ASSERT_TRUE(fit.has_value()) << fit.reason();
+  EXPECT_EQ(fit->iterations, 3);
+}
+
 TEST(PiecewiseFitTest, TooFewPointsFails) {
   const PathSpec spec;
   const auto fit = fit_piecewise_linear({{20, 45}, {50, 20}}, spec.anchor_a,

@@ -29,37 +29,6 @@ TEST(GaussianBlurTest, PreservesMeanApproximately) {
   EXPECT_NEAR(mean(out.raw()), mean(image.raw()), 0.01);
 }
 
-TEST(MedianFilterTest, RemovesImpulseNoise) {
-  GridD image(9, 9, 1.0);
-  image(4, 4) = 100.0;  // single hot pixel
-  const GridD out = median_filter(image, 1);
-  EXPECT_DOUBLE_EQ(out(4, 4), 1.0);
-}
-
-TEST(MedianFilterTest, PreservesStepEdge) {
-  GridD image(10, 10);
-  for (std::size_t y = 0; y < 10; ++y)
-    for (std::size_t x = 0; x < 10; ++x) image(x, y) = x < 5 ? 1.0 : 0.0;
-  const GridD out = median_filter(image, 1);
-  EXPECT_DOUBLE_EQ(out(2, 5), 1.0);
-  EXPECT_DOUBLE_EQ(out(7, 5), 0.0);
-}
-
-TEST(MedianFilterTest, RadiusZeroIsIdentity) {
-  GridD image(4, 4, 2.0);
-  image(1, 1) = 9.0;
-  EXPECT_EQ(median_filter(image, 0), image);
-}
-
-TEST(BoxBlurTest, AveragesNeighbourhood) {
-  GridD image(5, 5, 0.0);
-  image(2, 2) = 9.0;
-  const GridD out = box_blur(image, 1);
-  EXPECT_NEAR(out(2, 2), 1.0, 1e-12);
-  EXPECT_NEAR(out(1, 1), 1.0, 1e-12);
-  EXPECT_NEAR(out(0, 0), 0.0, 1e-12);
-}
-
 TEST(Normalize01Test, MapsRange) {
   GridD image(3, 1);
   image(0, 0) = -2.0;

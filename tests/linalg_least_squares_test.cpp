@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace qvg {
 namespace {
 
@@ -38,56 +36,6 @@ TEST(FitLineTest, TooFewPointsThrows) {
 
 TEST(FitLineTest, DegenerateXThrows) {
   EXPECT_THROW(fit_line({1.0, 1.0, 1.0}, {1.0, 2.0, 3.0}), NumericalError);
-}
-
-TEST(TheilSenTest, ExactLine) {
-  const std::vector<double> x{0, 1, 2, 3, 4};
-  const std::vector<double> y{5, 4, 3, 2, 1};
-  const LineFit fit = fit_line_theil_sen(x, y);
-  EXPECT_NEAR(fit.slope, -1.0, 1e-12);
-  EXPECT_NEAR(fit.intercept, 5.0, 1e-12);
-}
-
-TEST(TheilSenTest, RobustToOutliers) {
-  std::vector<double> x;
-  std::vector<double> y;
-  for (int i = 0; i < 20; ++i) {
-    x.push_back(i);
-    y.push_back(0.5 * i + 1.0);
-  }
-  // Corrupt 25% of points badly.
-  y[3] += 40.0;
-  y[8] -= 25.0;
-  y[13] += 30.0;
-  y[17] -= 50.0;
-  const LineFit robust = fit_line_theil_sen(x, y);
-  EXPECT_NEAR(robust.slope, 0.5, 0.05);
-  const LineFit plain = fit_line(x, y);
-  EXPECT_GT(std::abs(plain.slope - 0.5), std::abs(robust.slope - 0.5));
-}
-
-TEST(PolyfitTest, RecoverQuadratic) {
-  std::vector<double> x;
-  std::vector<double> y;
-  for (int i = -5; i <= 5; ++i) {
-    x.push_back(i);
-    y.push_back(2.0 - 3.0 * i + 0.5 * i * i);
-  }
-  const auto coeffs = polyfit(x, y, 2);
-  ASSERT_EQ(coeffs.size(), 3u);
-  EXPECT_NEAR(coeffs[0], 2.0, 1e-9);
-  EXPECT_NEAR(coeffs[1], -3.0, 1e-9);
-  EXPECT_NEAR(coeffs[2], 0.5, 1e-9);
-}
-
-TEST(PolyfitTest, NotEnoughPointsThrows) {
-  EXPECT_THROW(polyfit({1.0, 2.0}, {1.0, 2.0}, 2), NumericalError);
-}
-
-TEST(PolyvalTest, HornerEvaluation) {
-  EXPECT_DOUBLE_EQ(polyval({1.0, 2.0, 3.0}, 2.0), 1.0 + 4.0 + 12.0);
-  EXPECT_DOUBLE_EQ(polyval({}, 5.0), 0.0);
-  EXPECT_DOUBLE_EQ(polyval({4.0}, 100.0), 4.0);
 }
 
 TEST(LstsqTest, MatchesLineFit) {

@@ -124,8 +124,8 @@ TEST(EngineFaultTest, IdenticalSeedIsBitIdenticalAcrossWorkerCounts) {
        {&playback_request, &device_request}) {
     ThreadPool narrow(1);
     ThreadPool wide(4);
-    JobQueue narrow_jobs({}, &narrow);
-    JobQueue wide_jobs({}, &wide);
+    JobQueue narrow_jobs(&narrow);
+    JobQueue wide_jobs(&wide);
     const ExtractionReport a = narrow_jobs.submit(*request).wait();
     const ExtractionReport b = wide_jobs.submit(*request).wait();
     ASSERT_TRUE(a.status.ok()) << a.status.detail();
